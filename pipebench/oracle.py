@@ -8,7 +8,6 @@ numpy, never the package's executors, geometry kernels or metric code.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import rankdata
 
 # The seven in-tree shapes: edges (src node, dst node) toward the target,
 # anchors first.  Kept here so that a change to the package's table shows.
@@ -153,30 +152,45 @@ def distances(box, ps, alpha: float) -> np.ndarray:
 
 
 def mann_whitney_wins(pos: np.ndarray, neg: np.ndarray) -> float:
-    """Pairs with the answer strictly closer, ties worth one half, by ranks."""
-    ranks = rankdata(np.concatenate([pos, neg]), method="average")
-    neg_rank_sum = ranks[pos.size:].sum()
-    return float(neg_rank_sum - neg.size * (neg.size + 1) / 2.0)
+    """Pairs with the answer strictly closer, ties worth one half, by sorting."""
+    ordered = np.sort(neg)
+    right = np.searchsorted(ordered, pos, side="right")
+    left = np.searchsorted(ordered, pos, side="left")
+    return float((ordered.size - right).sum() + 0.5 * (right - left).sum())
+
+
+def rates(counts: dict[str, int]) -> dict[str, float]:
+    """Precision, recall and F1 from confusion counts (F1 as 2tp / (2tp + fp + fn))."""
+    tp, fp, fn = counts["tp"], counts["fp"], counts["fn"]
+    return {
+        "precision": tp / (tp + fp) if tp + fp else 0.0,
+        "recall": tp / (tp + fn) if tp + fn else 0.0,
+        "f1": 2 * tp / (2 * tp + fp + fn) if tp else 0.0,
+    }
 
 
 def check_report(report, boxes, instances, ps, full_ranking: bool, alpha: float) -> list[str]:
-    """Confusion counts, F1 and pairwise of an evaluation report.
+    """Confusion counts, precision, recall, F1 and pairwise of an evaluation report.
 
     ``boxes`` are the query boxes ``encode`` returns for ``instances``.
+    Every count and rate is recomputed here, overall and per template.
     """
     problems = []
     n = ps.num_entities
     lower, upper = entity_bounds(ps)
-    tp = fp = fn = 0
+    counts: dict[str, dict[str, int]] = {}
     wins = 0.0
     pairs = 0
     for box, inst in zip(boxes, instances):
         predicted = overlap_mask(box, lower, upper)
         truth = np.zeros(n, dtype=bool)
         truth[sorted(inst.targets)] = True
-        tp += int(np.sum(predicted & truth))
-        fp += int(np.sum(predicted & ~truth))
-        fn += int(np.sum(~predicted & truth))
+        for key in ("overall", inst.query.template):
+            row = counts.setdefault(key, dict.fromkeys(("tp", "fp", "fn", "tn"), 0))
+            row["tp"] += int(np.sum(predicted & truth))
+            row["fp"] += int(np.sum(predicted & ~truth))
+            row["fn"] += int(np.sum(~predicted & truth))
+            row["tn"] += int(np.sum(~predicted & ~truth))
         dist = distances(box, ps, alpha)
         if full_ranking:
             neg = dist[~truth]
@@ -187,17 +201,20 @@ def check_report(report, boxes, instances, ps, full_ranking: bool, alpha: float)
             wins += mann_whitney_wins(pos, neg)
             pairs += pos.size * neg.size
     overall = report.overall
-    conf = overall["confusion"]
-    if sum(conf.values()) != n * len(instances):
-        problems.append(f"confusion counts sum to {sum(conf.values())}, not {n * len(instances)}")
-    if (conf["tp"], conf["fp"], conf["fn"]) != (tp, fp, fn):
-        problems.append(f"confusion {conf} against recomputed tp={tp} fp={fp} fn={fn}")
-    rows = [overall] + [row for row in report.templates.values() if row["confusion"]]
-    for row in rows:
-        p, r = row["precision"], row["recall"]
-        harmonic = 2 * p * r / (p + r) if p + r else 0.0
-        if abs(row["f1"] - harmonic) > 1e-12:
-            problems.append(f"f1 {row['f1']} is not the harmonic mean {harmonic}")
+    if sum(counts["overall"].values()) != n * len(instances):
+        problems.append(f"recomputed counts sum to {sum(counts['overall'].values())},"
+                        f" not {n * len(instances)}")
+    rows = {"overall": overall}
+    rows.update((name, row) for name, row in report.templates.items() if row["queries"])
+    if rows.keys() != counts.keys():
+        problems.append(f"report rows {sorted(rows)}, templates {sorted(counts)}")
+    for key in rows.keys() & counts.keys():
+        row, own = rows[key], counts[key]
+        if {k: row["confusion"][k] for k in own} != own:
+            problems.append(f"{key}: confusion {row['confusion']} against recomputed {own}")
+        for metric, value in rates(own).items():
+            if abs(row[metric] - value) > 1e-12:
+                problems.append(f"{key}: {metric} {row[metric]} against recomputed {value}")
     if pairs != overall["pairs"]:
         problems.append(f"{overall['pairs']} pairs, recomputed {pairs}")
     elif pairs and abs(overall["pairwise"] - 100.0 * wins / pairs) > 1e-9:

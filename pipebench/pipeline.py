@@ -1,11 +1,12 @@
 """One round of the pipeline in a fresh process, with its output checks.
 
-    python3 pipebench/pipeline.py --workload desk --seed 1 --scratch DIR --traced 0
+    python3 pipebench/pipeline.py --workload desk --seed 1 --scratch DIR --traced 0 \
+        --run-id NAME
 
-``run.py`` starts this once per round, so that every round meets the heap
-a user's process meets (the first ``train`` in a process pays page faults
-that later ones do not).  ``DIR`` holds the generated graph.  The round
-runs the package's public API from ``src/``:
+``run.py`` starts this once per round, so that rounds share no heap or
+cache state, with glibc's malloc thresholds pinned (see ``run.py``).
+``DIR`` holds the generated graph.  The round runs the package's public
+API from ``src/``:
 
     load_graph -> split_edges -> generate_datasets -> train -> evaluate
     -> one classify call per held-out query (closed loop, one caller)
@@ -29,7 +30,6 @@ import numpy as np
 
 ROOT = Path.cwd()
 SPLIT_FRACTION = 0.10
-CLASSIFY_CALLS = 280  # per round; a multiple of 2 and 7 keeps template mixes exact
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,9 @@ class Workload:
     setups: int  # load_graph + split_edges
     repeats: int  # generate_datasets
     eval_repeats: int  # evaluate(mode="both")
+    # classify calls per round, a second or more of them; a multiple of 2
+    # and 7 keeps the template mix exact
+    classify_calls: int
     max_targets: int = 100
     lr: float = 0.005
     dim: int = 32
@@ -55,17 +58,20 @@ WORKLOADS = {
     # gate-6 setting: planted clusters, tiny entity table, Python tape overhead
     "desk": Workload("clustered", 200, {"1-chain": 500, "2-chain": 500},
                      layers=2, max_steps=6000, eval_every=500,
-                     full_ranking=False, setups=30, repeats=30, eval_repeats=40),
+                     full_ranking=False, setups=60, repeats=50, eval_repeats=60,
+                     classify_calls=10500),
     # same generator and model, entity-table work dominates a step
     "wide": Workload("clustered", 4000, {"1-chain": 500, "2-chain": 500},
                      layers=2, max_steps=500, eval_every=250,
-                     full_ranking=False, setups=3, repeats=3, eval_repeats=4),
+                     full_ranking=False, setups=3, repeats=6, eval_repeats=10,
+                     classify_calls=1120),
     # gate-4 generator, all seven templates, full ranking
     "hub7": Workload("hub", 2000, {name: 300 for name in (
                          "1-chain", "2-chain", "3-chain", "2-inter", "3-inter",
                          "3-inter-chain", "3-chain-inter")},
                      layers=3, max_steps=300, eval_every=100,
-                     full_ranking=True, setups=10, repeats=2, eval_repeats=2),
+                     full_ranking=True, setups=10, repeats=3, eval_repeats=6,
+                     classify_calls=1400),
 }
 
 # TrainConfig.seed for every run: the trained model's box sizes set how
@@ -186,6 +192,12 @@ def moments(adam) -> dict[str, np.ndarray]:
 # -- one round ---------------------------------------------------------------
 
 
+def interleaved(counts: dict[str, int]) -> list[str]:
+    """Each task name ``counts[name]`` times, every task spread evenly."""
+    slots = [((j + 0.5) / n, name) for name, n in counts.items() for j in range(n)]
+    return [name for _, name in sorted(slots)]
+
+
 def timed(times: list[float], call, *args, **kwargs):
     """Call, appending the wall time it took to ``times``."""
     start = time.perf_counter()
@@ -198,9 +210,10 @@ def run_round(name: str, seed: int, inputs: dict, scratch: Path, ops: Operations
               tracer: Tracer, traced: bool) -> dict:
     """One pass of the pipeline, then its output checks (never traced).
 
-    Set-up, sampling and evaluation are repeated a fixed number of times
-    per round, so their short windows give a median; each repeat must
-    return what the first did.
+    After training, set-up, sampling and evaluation are repeated a fixed
+    number of times per round, interleaved with the classify calls, so
+    that their short windows give a median; each repeat must return what
+    the first did.
     """
     w = WORKLOADS[name]
     out = {"setup_s": [], "sample_s": [], "eval_s": [], "answer_ms": []}
@@ -210,34 +223,9 @@ def run_round(name: str, seed: int, inputs: dict, scratch: Path, ops: Operations
         kg = graphs.load_graph(inputs["triples"], inputs["types"])
         return kg, sampling.split_edges(kg, SPLIT_FRACTION, seed=seed)
 
-    with tracer.phase(traced) as setup_phase:
-        kg, split = timed(out["setup_s"], setup)
-        same = []
-        for _ in range(w.setups - 1):
-            other_kg, other_split = timed(out["setup_s"], setup)
-            same.append(other_kg.edges == kg.edges and other_split == split)
-            del other_kg, other_split
-    ops.record("setup", oracle.check_graph(kg, inputs["labels"])
-               + oracle.check_split(kg, split, SPLIT_FRACTION))
-    for ok in same:
-        ops.record("setup", [] if ok else ["a repeated set-up differs from the first"])
-
     cfg = sampling.SamplerConfig(quotas=w.quotas, seed=seed, max_targets=w.max_targets)
-    with tracer.phase(traced) as sample_phase:
-        instances, manifest = timed(out["sample_s"], sampling.generate_datasets, kg, split, cfg)
-        same = []
-        for _ in range(w.repeats - 1):
-            other, _ = timed(out["sample_s"], sampling.generate_datasets, kg, split, cfg)
-            same.append(other == instances)
-            del other
-    out["sample_queries"] = len(instances)
-    index = oracle.EdgeIndex(kg.edges)
-    problems = oracle.check_instances(instances, index, split.removed_edges, w.max_targets)
-    if len(instances) != sum(w.quotas.values()):
-        problems.append(f"{len(instances)} instances for quotas {sum(w.quotas.values())}")
-    ops.record("generate_datasets", problems)
-    for ok in same:
-        ops.record("generate_datasets", [] if ok else ["a repeated sampling differs from the first"])
+    kg, split = timed(out["setup_s"], setup)
+    instances, _ = timed(out["sample_s"], sampling.generate_datasets, kg, split, cfg)
     datasets = by_split(instances)
     test = datasets["test"]
 
@@ -250,27 +238,42 @@ def run_round(name: str, seed: int, inputs: dict, scratch: Path, ops: Operations
     after = resource.getrusage(resource.RUSAGE_SELF)
     out["train_s"] = train_s
     out["train_queries"] = result.steps
-    ops.record("train", [] if result.steps == w.max_steps and len(result.history) == w.max_steps
-               else [f"ran {result.steps} of {w.max_steps} steps"])
 
     # expected answers, from the box encode returns, as entity masks: the
     # classify answers are checked as they come and not kept
     query_boxes = {id(inst): encoder.encode(inst.query, result.ps).box for inst in test}
     lower, upper = oracle.entity_bounds(result.ps)
     expected = {key: oracle.overlap_mask(box, lower, upper) for key, box in query_boxes.items()}
-    wrong_answers = []
-    with tracer.phase(traced) as eval_phase:
-        reports = [timed(out["eval_s"], evaluation.evaluate, result.ps, test,
-                         mode="both", full_ranking=w.full_ranking)
-                   for _ in range(w.eval_repeats)]
-        # the paper's binary answer, one closed-loop caller over held-out queries
-        for inst in balanced_order(test, CLASSIFY_CALLS):
-            answer = timed(out["answer_ms"], evaluation.classify, result.ps, inst.query)
-            wrong_answers.append(oracle.mask_problems(answer, expected[id(inst)]))
+
+    # The repeats of the short phases and the classify calls (the paper's
+    # binary answer, one closed-loop caller over held-out queries) are
+    # interleaved, so that each phase's samples span the whole window
+    # rather than a few seconds of a machine whose speed drifts.
+    same_setup, same_sample, reports, wrong_answers = [], [], [], []
+    queries = iter(balanced_order(test, w.classify_calls))
+    with tracer.phase(traced) as post_phase:
+        for task in interleaved({"setup": w.setups - 1, "sample": w.repeats - 1,
+                                 "evaluate": w.eval_repeats, "classify": w.classify_calls}):
+            if task == "setup":
+                other_kg, other_split = timed(out["setup_s"], setup)
+                same_setup.append(other_kg.edges == kg.edges and other_split == split)
+                del other_kg, other_split
+            elif task == "sample":
+                other, _ = timed(out["sample_s"], sampling.generate_datasets, kg, split, cfg)
+                same_sample.append(other == instances)
+                del other
+            elif task == "evaluate":
+                reports.append(timed(out["eval_s"], evaluation.evaluate, result.ps, test,
+                                     mode="both", full_ranking=w.full_ranking))
+            else:
+                inst = next(queries)
+                answer = timed(out["answer_ms"], evaluation.classify, result.ps, inst.query)
+                wrong_answers.append(oracle.mask_problems(answer, expected[id(inst)]))
     out["answer_ms"] = [1e3 * s for s in out["answer_ms"]]
     # read before the output checks, which allocate too
     out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     report = reports[0]
+    out["sample_queries"] = len(instances)
     out["eval_queries"] = len(test)
     out["test_pairwise"] = report.overall["pairwise"]
     out["test_f1"] = 100.0 * report.overall["f1"]
@@ -278,6 +281,19 @@ def run_round(name: str, seed: int, inputs: dict, scratch: Path, ops: Operations
                    + sum(out["answer_ms"]) / 1e3)
 
     # -- output checks -------------------------------------------------------
+    ops.record("setup", oracle.check_graph(kg, inputs["labels"])
+               + oracle.check_split(kg, split, SPLIT_FRACTION))
+    for ok in same_setup:
+        ops.record("setup", [] if ok else ["a repeated set-up differs from the first"])
+    index = oracle.EdgeIndex(kg.edges)
+    problems = oracle.check_instances(instances, index, split.removed_edges, w.max_targets)
+    if len(instances) != sum(w.quotas.values()):
+        problems.append(f"{len(instances)} instances for quotas {sum(w.quotas.values())}")
+    ops.record("generate_datasets", problems)
+    for ok in same_sample:
+        ops.record("generate_datasets", [] if ok else ["a repeated sampling differs from the first"])
+    ops.record("train", [] if result.steps == w.max_steps and len(result.history) == w.max_steps
+               else [f"ran {result.steps} of {w.max_steps} steps"])
     for problems in wrong_answers:
         ops.record("classify", problems)
     ops.record("evaluate", oracle.check_report(
@@ -335,9 +351,8 @@ def run_round(name: str, seed: int, inputs: dict, scratch: Path, ops: Operations
         with tracer.phase(True) as rank_phase:
             evaluation.evaluate(result.ps, test, mode="ranking", full_ranking=w.full_ranking)
         out["layer"] = layer_metrics(
-            w, result, test, instances, ckpt, usage, after, train_s,
-            setup_phase.stats, sample_phase.stats, train_phase.stats, eval_phase.stats,
-            cls_phase.stats, rank_phase.stats)
+            result, test, instances, ckpt, usage, after, train_s,
+            train_phase.stats, post_phase.stats, cls_phase.stats, rank_phase.stats)
     return out
 
 
@@ -358,26 +373,28 @@ def resume_problems(inputs: dict, scratch: Path) -> list[str]:
     return problems
 
 
-def layer_metrics(w, result, test, instances, ckpt, usage, after, train_s,
-                  setup_stats, sample_stats, train_stats, eval_stats, cls_stats,
-                  rank_stats) -> dict[str, float]:
-    attempts = sample_stats.calls.get("sampling.sample_query", 0) / w.repeats
+def layer_metrics(result, test, instances, ckpt, usage, after, train_s,
+                  train_stats, post_stats, cls_stats, rank_stats) -> dict[str, float]:
+    """Per-layer figures: training from its own phase, set-up, sampling and
+    evaluation from the interleaved repeats after it."""
+    attempts = (post_stats.calls["sampling.sample_query"]
+                / post_stats.calls["sampling.generate_datasets"])
     user = after.ru_utime - usage.ru_utime
     system = after.ru_stime - usage.ru_stime
     encode_calls = (train_stats.calls.get("encoder.encode", 0)
-                    + eval_stats.calls.get("encoder.encode", 0))
+                    + post_stats.calls.get("encoder.encode", 0))
     encode_time = (train_stats.total.get("encoder.encode", 0.0)
-                   + eval_stats.total.get("encoder.encode", 0.0))
+                   + post_stats.total.get("encoder.encode", 0.0))
     param_bytes = sum(p.data.nbytes for p in result.ps.parameters())
     return {
-        "graphs.load_s": setup_stats.total["graphs.load_graph"]
-        / setup_stats.calls["graphs.load_graph"],
+        "graphs.load_s": post_stats.total["graphs.load_graph"]
+        / post_stats.calls["graphs.load_graph"],
         "sampling.attempts": float(attempts),
         "sampling.accept_ratio": len(instances) / attempts,
-        "sampling.sample_query_ms": sample_stats.mean_ms("sampling.sample_query"),
-        "sampling.sample_negatives_ms": sample_stats.mean_ms("sampling.sample_negatives"),
-        "queries.execute_ms": sample_stats.mean_ms("queries.execute"),
-        "queries.execute_relaxed_ms": sample_stats.mean_ms("queries.execute_relaxed"),
+        "sampling.sample_query_ms": post_stats.mean_ms("sampling.sample_query"),
+        "sampling.sample_negatives_ms": post_stats.mean_ms("sampling.sample_negatives"),
+        "queries.execute_ms": post_stats.mean_ms("queries.execute"),
+        "queries.execute_relaxed_ms": post_stats.mean_ms("queries.execute_relaxed"),
         "encoder.encode_ms": 1e3 * encode_time / encode_calls,
         "boxes.box_distance_ms": train_stats.mean_ms("boxes.box_distance"),
         "training.instance_loss_ms": train_stats.mean_ms("training.instance_loss"),
@@ -390,7 +407,7 @@ def layer_metrics(w, result, test, instances, ckpt, usage, after, train_s,
         "training.validation_share": train_stats.total.get("training.validation", 0.0) / train_s,
         "training.checkpoint_save_ms": train_stats.mean_ms("training.save_checkpoint", own=False),
         "training.checkpoint_bytes": float(ckpt.stat().st_size),
-        "evaluation.classify_ms": eval_stats.mean_ms("evaluation.classify"),
+        "evaluation.classify_ms": post_stats.mean_ms("evaluation.classify"),
         "evaluation.classification_ms_per_query":
             1e3 * cls_stats.self_time["evaluation.evaluate"] / len(test),
         "evaluation.ranking_ms_per_query":
@@ -432,7 +449,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--scratch", type=Path, required=True)
     parser.add_argument("--traced", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--run-id", default="round")
+    parser.add_argument("--run-id", required=True)
     args = parser.parse_args(argv)
     inputs = read_inputs(args.workload, args.scratch)
     tracer = Tracer(args.run_id)

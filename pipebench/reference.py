@@ -1,10 +1,10 @@
 """Per-step reference figures at several entity counts (not a gated workload).
 
-    python3 pipebench/reference.py --entities 200 2000 20000 --steps 300
+    python3 pipebench/reference.py --entities 200 2000 20000
 
 Run from the repository root.  For each size: a clustered graph, the
 ``1-chain``/``2-chain`` desk quotas, ``tm`` with dim 32 and 2 layers, and
-``--steps`` single-instance training steps without validation, traced
+300 single-instance training steps without validation, traced
 with the spans of ``pipeline.py``.  Prints one row per size: mean encode
 (forward), backward and Adam time per step, minor page faults per step,
 and evaluation time per held-out query.
@@ -24,8 +24,10 @@ from pipeline import (
 from tracing import Tracer
 from boxquery import evaluation, sampling, training
 
+STEPS = 300  # single-instance training steps per size
 
-def measure(entities: int, steps: int, tracer: Tracer) -> dict[str, float]:
+
+def measure(entities: int, tracer: Tracer) -> dict[str, float]:
     w = dataclasses.replace(WORKLOADS["desk"], entities=entities)
     start = time.perf_counter()
     kg = make_graph(w, 0)
@@ -37,7 +39,7 @@ def measure(entities: int, steps: int, tracer: Tracer) -> dict[str, float]:
     datasets["val"] = []
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     with tracer.phase(True) as train_phase:
-        result = training.train(kg, datasets, train_config(w, max_steps=steps))
+        result = training.train(kg, datasets, train_config(w, max_steps=STEPS))
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     test = datasets["test"]
     with tracer.phase(True) as eval_phase:
@@ -49,7 +51,7 @@ def measure(entities: int, steps: int, tracer: Tracer) -> dict[str, float]:
         "encode_ms": stats.mean_ms("encoder.encode", own=False),
         "backward_ms": stats.mean_ms("autodiff.backward"),
         "adam_ms": stats.mean_ms("autodiff.adam_step"),
-        "minflt_per_step": faults / steps,
+        "minflt_per_step": faults / STEPS,
         "eval_ms_per_query": 1e3 * eval_phase.stats.total["evaluation.evaluate"] / len(test),
     }
 
@@ -57,7 +59,6 @@ def measure(entities: int, steps: int, tracer: Tracer) -> dict[str, float]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--entities", type=int, nargs="+", default=[200, 2000, 20000])
-    parser.add_argument("--steps", type=int, default=300)
     args = parser.parse_args(argv)
     tracer = Tracer("reference")
     install_spans(tracer)
@@ -65,7 +66,7 @@ def main(argv=None) -> int:
         print("| entities | generate | encode fwd | backward | Adam | minflt/step | eval / query |")
         print("|---------:|---------:|-----------:|---------:|-----:|------------:|-------------:|")
         for entities in args.entities:
-            row = measure(entities, args.steps, tracer)
+            row = measure(entities, tracer)
             print(f"| {row['entities']:,} | {row['generate_s']:.2f} s | {row['encode_ms']:.2f} ms"
                   f" | {row['backward_ms']:.2f} ms | {row['adam_ms']:.2f} ms"
                   f" | {row['minflt_per_step']:.0f} | {row['eval_ms_per_query']:.2f} ms |",

@@ -11,11 +11,12 @@ depend on the seed or on the number of rounds.
 
 The last line of standard output is one JSON object with ``correct``,
 ``attempted``, ``failed`` and ``metrics``.  With ``--trace 0`` the metrics
-are the end-to-end ones: medians over rounds, latency percentiles over
-all classify calls.  With ``--trace 1`` untraced and traced rounds
-alternate; the metrics are the per-layer medians of the traced rounds and
-``trace.overhead_share``, the traced rounds' timed work against the
-untraced rounds'.  The spans are written to
+are the end-to-end ones: medians over all repeats of the run (training:
+over rounds), latency percentiles over all classify calls.  The metric
+names and units are read from ``BENCHMARK.json``.  With ``--trace 1``
+untraced and traced rounds alternate; the metrics are the per-layer
+medians of the traced rounds and ``trace.overhead_share``, the traced
+rounds' timed work against the untraced rounds'.  The spans are written to
 ``.pipebench_work/traces/<workload>-seed<seed>.jsonl``.
 """
 
@@ -37,44 +38,18 @@ import pipeline
 
 WORK = pipeline.ROOT / ".pipebench_work"
 ROUND_TIMEOUT_S = 170
+# glibc's mmap and trim thresholds, pinned for every round.  With the
+# adaptive defaults a fresh process lands at random in one of two heaps:
+# one where numpy temporaries of a megabyte or so are mapped and unmapped
+# on every call (hub7: about 180,000 minor faults per evaluate, a third
+# slower) and one where they are reused.  Pinned, every round meets the
+# second, so timings do not flip between runs of the same seed.
+ALLOCATOR = {"MALLOC_MMAP_THRESHOLD_": str(32 << 20), "MALLOC_TRIM_THRESHOLD_": str(128 << 20)}
 
-END_TO_END = {
-    "setup_s": "s",
-    "sample_queries_per_s": "1/s",
-    "train_queries_per_s": "1/s",
-    "eval_queries_per_s": "1/s",
-    "answer_ms_p50": "ms",
-    "answer_ms_p95": "ms",
-    "test_pairwise": "%",
-    "test_f1": "%",
-    "peak_rss_mb": "MB",
-}
-
-PER_LAYER = {
-    "graphs.load_s": "s",
-    "synthetic.generate_s": "s",
-    "sampling.attempts": "count",
-    "sampling.accept_ratio": "ratio",
-    "sampling.sample_query_ms": "ms",
-    "sampling.sample_negatives_ms": "ms",
-    "queries.execute_ms": "ms",
-    "queries.execute_relaxed_ms": "ms",
-    "encoder.encode_ms": "ms",
-    "boxes.box_distance_ms": "ms",
-    "training.instance_loss_ms": "ms",
-    "autodiff.backward_ms": "ms",
-    "autodiff.adam_step_ms": "ms",
-    "autodiff.adam_bytes_computed": "B",
-    "training.minflt_per_step": "count",
-    "training.sys_share": "ratio",
-    "training.validation_share": "ratio",
-    "training.checkpoint_save_ms": "ms",
-    "training.checkpoint_bytes": "B",
-    "evaluation.classify_ms": "ms",
-    "evaluation.classification_ms_per_query": "ms",
-    "evaluation.ranking_ms_per_query": "ms",
-    "trace.overhead_share": "ratio",
-}
+# metric names and units, as BENCHMARK.json lists them
+SPEC = json.loads((pipeline.ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+END_TO_END = {m["name"]: m["unit"] for m in SPEC["end_to_end"]}
+PER_LAYER = {m["name"]: m["unit"] for m in SPEC["per_layer"]}
 
 
 def median(values) -> float:
@@ -86,7 +61,8 @@ def run_round(args, scratch: Path, run_id: str, traced: bool) -> dict:
     argv = [sys.executable, str(Path(__file__).with_name("pipeline.py")),
             "--workload", args.workload, "--seed", str(args.seed),
             "--scratch", str(scratch), "--traced", str(int(traced)), "--run-id", run_id]
-    done = subprocess.run(argv, stdout=subprocess.PIPE, text=True, timeout=ROUND_TIMEOUT_S)
+    done = subprocess.run(argv, stdout=subprocess.PIPE, text=True, timeout=ROUND_TIMEOUT_S,
+                          env={**os.environ, **ALLOCATOR})
     if done.returncode != 0:
         sys.exit(f"pipebench: round exited with code {done.returncode}")
     return json.loads(done.stdout.strip().splitlines()[-1])
@@ -96,11 +72,12 @@ def end_to_end(rounds: list[dict]) -> dict[str, float]:
     answer = np.asarray([ms for r in rounds for ms in r["answer_ms"]])
     return {
         "setup_s": median([s for r in rounds for s in r["setup_s"]]),
-        "sample_queries_per_s": median(
-            [r["sample_queries"] / median(r["sample_s"]) for r in rounds]),
+        # every round samples and evaluates the same queries
+        "sample_queries_per_s": rounds[0]["sample_queries"]
+        / median([s for r in rounds for s in r["sample_s"]]),
         "train_queries_per_s": median([r["train_queries"] / r["train_s"] for r in rounds]),
-        "eval_queries_per_s": median(
-            [r["eval_queries"] / median(r["eval_s"]) for r in rounds]),
+        "eval_queries_per_s": rounds[0]["eval_queries"]
+        / median([s for r in rounds for s in r["eval_s"]]),
         "answer_ms_p50": float(np.percentile(answer, 50)),
         "answer_ms_p95": float(np.percentile(answer, 95)),
         "test_pairwise": rounds[0]["test_pairwise"],

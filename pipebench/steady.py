@@ -38,15 +38,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--workloads", nargs="+")
-    parser.add_argument("--seconds", type=int, help="run length (default: BENCHMARK.json)")
     parser.add_argument("--out", type=Path, help="write the collected values here")
     parser.add_argument("--against", type=Path, help="an earlier --out file to compare")
     args = parser.parse_args(argv)
 
     spec = json.loads(Path("BENCHMARK.json").read_text(encoding="utf-8"))
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
-    seconds = args.seconds or spec["run_seconds"]
+    workloads = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     metrics = {m["name"]: m for m in spec["end_to_end"]}
 
     values = {w: {name: [] for name in metrics} for w in workloads}
