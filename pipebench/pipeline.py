@@ -19,6 +19,7 @@ and failed, and with ``--traced 1`` the per-layer figures of its spans.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import resource
 import sys
@@ -41,11 +42,11 @@ class Workload:
     max_steps: int
     eval_every: int
     full_ranking: bool
-    # Short phases repeat a fixed number of times per round, so that their
-    # windows add up to a second or more and give a median.
-    setups: int  # load_graph + split_edges
-    repeats: int  # generate_datasets
-    eval_repeats: int  # evaluate(mode="both")
+    # Short phases repeat a fixed number of times per round after training,
+    # so that their windows add up to a second or more and give a median.
+    setups: int  # load_graph + split_edges, timed
+    repeats: int  # generate_datasets, timed
+    eval_repeats: int  # evaluate(mode="both"), timed
     # classify calls per round, a second or more of them; a multiple of 2
     # and 7 keeps the template mix exact
     classify_calls: int
@@ -62,15 +63,15 @@ WORKLOADS = {
                      classify_calls=10500),
     # same generator and model, entity-table work dominates a step
     "wide": Workload("clustered", 4000, {"1-chain": 500, "2-chain": 500},
-                     layers=2, max_steps=500, eval_every=250,
-                     full_ranking=False, setups=3, repeats=6, eval_repeats=10,
+                     layers=2, max_steps=400, eval_every=200,
+                     full_ranking=False, setups=3, repeats=8, eval_repeats=8,
                      classify_calls=1120),
     # gate-4 generator, all seven templates, full ranking
     "hub7": Workload("hub", 2000, {name: 300 for name in (
                          "1-chain", "2-chain", "3-chain", "2-inter", "3-inter",
                          "3-inter-chain", "3-chain-inter")},
                      layers=3, max_steps=300, eval_every=100,
-                     full_ranking=True, setups=10, repeats=3, eval_repeats=6,
+                     full_ranking=True, setups=10, repeats=8, eval_repeats=5,
                      classify_calls=1400),
 }
 
@@ -210,10 +211,14 @@ def run_round(name: str, seed: int, inputs: dict, scratch: Path, ops: Operations
               tracer: Tracer, traced: bool) -> dict:
     """One pass of the pipeline, then its output checks (never traced).
 
-    After training, set-up, sampling and evaluation are repeated a fixed
-    number of times per round, interleaved with the classify calls, so
-    that their short windows give a median; each repeat must return what
-    the first did.
+    The first set-up and sampling feed training and are not timed: they
+    warm the heap and the caches.  After training, set-up, sampling and
+    evaluation are repeated a fixed number of times per round, interleaved
+    with the classify calls, so that their short windows give a median;
+    each repeat must return what the first call did.  A full garbage
+    collection, not timed, precedes every set-up and sampling repeat, so
+    that each one starts from the same collector state instead of paying
+    at random for a collection of everything the round keeps alive.
     """
     w = WORKLOADS[name]
     out = {"setup_s": [], "sample_s": [], "eval_s": [], "answer_ms": []}
@@ -224,8 +229,8 @@ def run_round(name: str, seed: int, inputs: dict, scratch: Path, ops: Operations
         return kg, sampling.split_edges(kg, SPLIT_FRACTION, seed=seed)
 
     cfg = sampling.SamplerConfig(quotas=w.quotas, seed=seed, max_targets=w.max_targets)
-    kg, split = timed(out["setup_s"], setup)
-    instances, _ = timed(out["sample_s"], sampling.generate_datasets, kg, split, cfg)
+    kg, split = setup()
+    instances, _ = sampling.generate_datasets(kg, split, cfg)
     datasets = by_split(instances)
     test = datasets["test"]
 
@@ -252,8 +257,10 @@ def run_round(name: str, seed: int, inputs: dict, scratch: Path, ops: Operations
     same_setup, same_sample, reports, wrong_answers = [], [], [], []
     queries = iter(balanced_order(test, w.classify_calls))
     with tracer.phase(traced) as post_phase:
-        for task in interleaved({"setup": w.setups - 1, "sample": w.repeats - 1,
+        for task in interleaved({"setup": w.setups, "sample": w.repeats,
                                  "evaluate": w.eval_repeats, "classify": w.classify_calls}):
+            if task in ("setup", "sample"):
+                gc.collect()
             if task == "setup":
                 other_kg, other_split = timed(out["setup_s"], setup)
                 same_setup.append(other_kg.edges == kg.edges and other_split == split)

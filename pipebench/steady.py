@@ -1,7 +1,8 @@
 """Steadiness check: repeat the benchmark and compare spreads with bounds.
 
-    python3 pipebench/steady.py --runs 10 --out steady-a.json
-    python3 pipebench/steady.py --runs 10 --first-seed 101 --against steady-a.json
+    python3 pipebench/steady.py --runs 10 --out .pipebench_work/steady-a.json
+    python3 pipebench/steady.py --runs 10 --first-seed 11 \
+        --against .pipebench_work/steady-a.json
 
 Run from the repository root.  Each of ``--runs`` passes runs every
 workload once through the command in ``BENCHMARK.json``, with seed
