@@ -9,6 +9,17 @@ reduction order.
 Gradients accumulate additively into ``.grad`` buffers: each call to
 ``backward()`` first computes the adjoints of the whole graph and then adds
 them in, so running backward twice doubles every gradient exactly.
+
+The adjoint of a row gather is row-sparse (:class:`RowSparse`): it names
+the rows a gather read and their summed gradients, so a step touches
+only those rows of an embedding table.  It is made dense only where it
+meets a dense adjoint or flows into an operation's own adjoint.  Sums
+are formed in the order a dense ``np.add.at`` into zeros would form
+them, so both forms give the same bits.
+
+Parameters can be packed (:func:`pack_tensors`): their data and gradients
+become views into two flat buffers, which lets :func:`adam_step` update
+every parameter in one pass.
 """
 
 from __future__ import annotations
@@ -94,27 +105,35 @@ class Tensor2:
             stack.append((node, True))
             for p in node._parents:
                 stack.append((p, False))
-        adjoint: dict[int, np.ndarray] = {id(self): np.ones((1, 1))}
+        adjoint: dict[int, np.ndarray | RowSparse] = {id(self): np.ones((1, 1))}
         for node in reversed(topo):
             g = adjoint.get(id(node))
             if g is None:
                 continue
             if node._vjp is not None:
+                if isinstance(g, RowSparse):
+                    g = adjoint[id(node)] = g.dense()
                 for parent, contrib in zip(node._parents, node._vjp(g)):
                     if contrib is None or not parent.requires_grad:
                         continue
                     key = id(parent)
                     if key in adjoint:
-                        adjoint[key] = adjoint[key] + contrib
+                        adjoint[key] = _accumulate(adjoint[key], contrib)
                     else:
                         adjoint[key] = contrib
         for node in topo:
             g = adjoint.get(id(node))
             if g is None:
                 continue
-            if node.grad is None:
-                node.grad = np.zeros_like(node.data)
-            node.grad += g
+            if isinstance(g, RowSparse):
+                if node.grad is None:
+                    node.grad = np.zeros_like(node.data)
+                rows, sums = g.summed()
+                node.grad[rows] += sums
+            elif node.grad is None:
+                node.grad = g + 0.0  # the bits of zeros + g, without the zeros
+            else:
+                node.grad += g
 
     # -- operators -----------------------------------------------------------
 
@@ -252,15 +271,74 @@ def row_sum(x: Tensor2) -> Tensor2:
     )
 
 
+def _row_sums(ids: np.ndarray, values: np.ndarray, num_rows: int):
+    """Sorted unique row ids and ``values`` summed per id, in the given order.
+
+    The sums are the bits ``np.add.at`` into a zero table would leave in
+    those rows: ``+ 0.0`` turns -0.0 into the +0.0 that adding it to a zero
+    row gives, so no sum is ever -0.0.
+    """
+    order = np.argsort(ids, kind="stable")
+    rows = ids[order]
+    if rows.size and rows[0] < 0:  # negative ids wrap, as in a forward gather
+        return _row_sums(ids % num_rows, values, num_rows)
+    if (rows[1:] > rows[:-1]).all():
+        return rows, values[order] + 0.0
+    rows, inverse = np.unique(ids, return_inverse=True)
+    sums = np.zeros((rows.size, values.shape[1]))
+    np.add.at(sums, inverse, values)  # repeated ids accumulate in order
+    return rows, sums
+
+
+class RowSparse:
+    """An adjoint that is zero outside some rows of a ``shape`` table.
+
+    ``parts`` holds ``(rows, sums)`` pairs in the order they reached the
+    table, one per gather, each as :func:`_row_sums` returns them.
+    """
+
+    __slots__ = ("shape", "parts")
+
+    def __init__(self, shape: tuple[int, int], rows: np.ndarray, sums: np.ndarray):
+        self.shape = shape
+        self.parts = [(rows, sums)]
+
+    def summed(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted unique rows and their totals over all parts, added in order."""
+        if len(self.parts) == 1:
+            return self.parts[0]
+        return _row_sums(
+            np.concatenate([r for r, _ in self.parts]),
+            np.concatenate([v for _, v in self.parts]),
+            self.shape[0],
+        )
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        rows, sums = self.summed()
+        out[rows] = sums
+        return out
+
+
+def _accumulate(acc, contrib):
+    """acc + contrib for adjoints, staying row-sparse when both are."""
+    if isinstance(acc, RowSparse) and isinstance(contrib, RowSparse):
+        acc.parts.extend(contrib.parts)
+        return acc
+    if isinstance(acc, RowSparse):
+        acc = acc.dense()
+    if isinstance(contrib, RowSparse):
+        contrib = contrib.dense()
+    return acc + contrib
+
+
 def gather_rows(x: Tensor2, indices) -> Tensor2:
     idx = np.asarray(indices, dtype=np.intp)
     if idx.ndim != 1:
         raise ValueError("indices must be a flat sequence")
 
     def vjp(g):
-        out = np.zeros_like(x.data)
-        np.add.at(out, idx, g)  # repeated indices accumulate
-        return (out,)
+        return (RowSparse(x.shape, *_row_sums(idx, g, x.rows)),)
 
     return Tensor2._result(x.data[idx], (x,), vjp)
 
@@ -282,50 +360,158 @@ def zero_grads(params) -> None:
         p.zero_grad()
 
 
+def _views(buffer: np.ndarray, params: list[Tensor2]) -> list[np.ndarray]:
+    """Consecutive slices of a flat buffer, shaped like each tensor."""
+    out, start = [], 0
+    for p in params:
+        stop = start + p.data.size
+        out.append(buffer[start:stop].reshape(p.data.shape))
+        start = stop
+    return out
+
+
+def _tiled(arrays: list) -> np.ndarray | None:
+    """The flat float64 buffer that ``arrays`` cover back to back, if any."""
+    if not arrays or any(a is None for a in arrays):
+        return None
+    base = arrays[0].base
+    if not (
+        isinstance(base, np.ndarray)
+        and base.ndim == 1
+        and base.dtype == np.float64
+        and base.flags.c_contiguous
+    ):
+        return None
+    address = base.__array_interface__["data"][0]
+    for a in arrays:
+        if (
+            a.base is not base
+            or not a.flags.c_contiguous
+            or a.__array_interface__["data"][0] != address
+        ):
+            return None
+        address += a.nbytes
+    return base if address == base.__array_interface__["data"][0] + base.nbytes else None
+
+
+def pack_tensors(params) -> tuple[np.ndarray, np.ndarray]:
+    """Hold the tensors' data and gradients in two flat float64 buffers.
+
+    Afterwards every ``.data`` and ``.grad`` is a view into the returned
+    (data, grad) buffers, laid out back to back in the given order.
+    Values are kept and a missing gradient becomes zeros.  Arrays that
+    already tile one buffer in this order stay where they are, so packing
+    twice changes nothing.
+    """
+    params = list(params)
+    data = _tiled([p.data for p in params])
+    if data is None:
+        data = np.concatenate([p.data.ravel() for p in params]) if params else np.zeros(0)
+        for p, view in zip(params, _views(data, params)):
+            p.data = view
+    grad = _tiled([p.grad for p in params])
+    if grad is None:
+        grad = np.zeros_like(data)
+        for p, view in zip(params, _views(grad, params)):
+            if p.grad is not None:
+                view[...] = p.grad
+            p.grad = view
+    return data, grad
+
+
 # -- optimizer ---------------------------------------------------------------
+
+# Elements per pass of adam_step: the six float64 streams it touches
+# (parameters, gradients, both moments, two scratch rows) take 1.5 MiB,
+# which stays in a 2 MiB L2 cache between the operations of one pass.
+# Measured on a 2-vCPU Xeon: 2^13 was 15-20% slower on 100k-350k elements,
+# 2^16 no faster.
+_ADAM_CHUNK = 1 << 15
 
 
 class AdamState:
-    """First/second moment buffers plus the step counter for Adam."""
+    """First/second moment buffers plus the step counter for Adam.
+
+    Building the state packs ``params`` (:func:`pack_tensors`); ``m_flat``
+    and ``v_flat`` are laid out like the packed parameters, and ``m`` and
+    ``v`` are their per-tensor views.
+    """
 
     def __init__(self, params, lr: float = 0.01, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
+        params = list(params)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in params]
-        self.v = [np.zeros_like(p.data) for p in params]
+        self._data, self._grad = pack_tensors(params)
+        self._data_views = [p.data for p in params]
+        self._grad_views = [p.grad for p in params]
+        self.m_flat = np.zeros_like(self._data)
+        self.v_flat = np.zeros_like(self._data)
+        self.m = _views(self.m_flat, params)
+        self.v = _views(self.v_flat, params)
+        self._scratch = np.empty((2, min(_ADAM_CHUNK, self._data.size)))
+
+
+def _flat_grads(params: list[Tensor2], grads, state: AdamState) -> np.ndarray:
+    """The packed gradient buffer, or a copy of ``grads`` laid out like it."""
+    if grads is None:
+        grads = [p.grad for p in params]
+    else:
+        grads = list(grads)
+        if len(grads) != len(params):
+            raise ValueError("params, grads, and optimizer state are not aligned")
+    if all(g is own for g, own in zip(grads, state._grad_views)):
+        return state._grad
+    flat = np.zeros_like(state._grad)
+    for p, g, view in zip(params, grads, _views(flat, params)):
+        if g is None:
+            continue
+        if g.shape != p.data.shape:
+            raise ValueError(f"gradient shape {g.shape} != parameter {p.data.shape}")
+        view[...] = g
+    return flat
 
 
 def adam_step(params, grads, state: AdamState) -> None:
     """One bias-corrected Adam update, in place on ``p.data``.
 
-    ``grads`` may be None to read each parameter's ``.grad`` buffer
-    (missing buffers count as zero gradients).
+    ``params`` are the tensors ``state`` was built from.  ``grads`` may be
+    None to read each parameter's ``.grad`` buffer (missing buffers count
+    as zero gradients).  The update is one pass over the packed buffers,
+    a chunk at a time; every element sees the same operations in the same
+    order as the textbook per-tensor form, so results match it bit for bit.
     """
     params = list(params)
-    if grads is None:
-        grads = [
-            p.grad if p.grad is not None else np.zeros_like(p.data) for p in params
-        ]
-    else:
-        grads = list(grads)
-    if len(params) != len(grads) or len(params) != len(state.m):
+    if len(params) != len(state.m) or any(
+        p.data is not own for p, own in zip(params, state._data_views)
+    ):
         raise ValueError("params, grads, and optimizer state are not aligned")
+    grad = _flat_grads(params, grads, state)
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if g.shape != p.data.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter {p.data.shape}")
+    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
+    c1, c2 = 1 - b1**state.t, 1 - b2**state.t
+    data, m_all, v_all = state._data, state.m_flat, state.v_flat
+    for start in range(0, data.size, _ADAM_CHUNK):
+        stop = min(start + _ADAM_CHUNK, data.size)
+        g, m, v = grad[start:stop], m_all[start:stop], v_all[start:stop]
+        a, b = state._scratch[:, : stop - start]
         m *= b1
-        m += (1 - b1) * g
+        np.multiply(g, 1 - b1, out=a)
+        m += a  # m*b1 + (1-b1)*g
         v *= b2
-        v += (1 - b2) * g * g
-        m_hat = m / (1 - b1**state.t)
-        v_hat = v / (1 - b2**state.t)
-        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        np.multiply(g, 1 - b2, out=a)
+        a *= g
+        v += a  # v*b2 + ((1-b2)*g)*g
+        np.divide(v, c2, out=a)
+        np.sqrt(a, out=a)
+        a += eps  # sqrt(v/c2) + eps
+        np.divide(m, c1, out=b)
+        b *= lr
+        b /= a  # (lr*(m/c1)) / denom
+        data[start:stop] -= b
 
 
 # -- gradient verification ---------------------------------------------------

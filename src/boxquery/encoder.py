@@ -11,7 +11,9 @@ reaches the target regardless of edge orientation.  A final aggregation
 box.
 
 All state lives in a :class:`ParameterStore` of named tensors so the
-optimizer and the checkpoint format can enumerate every parameter.
+optimizer and the checkpoint format can enumerate every parameter.  The
+store packs them: each tensor's data and gradient are views into one flat
+buffer apiece, in :meth:`ParameterStore.names` order.
 """
 
 from __future__ import annotations
@@ -35,7 +37,11 @@ class ConfigurationError(ValueError):
 
 @dataclass
 class ParameterStore:
-    """Named parameter tensors plus the hyperparameters that shape them."""
+    """Named parameter tensors plus the hyperparameters that shape them.
+
+    ``data`` and ``grad`` are the flat buffers that every tensor's
+    ``.data`` and ``.grad`` view (see :func:`autodiff.pack_tensors`).
+    """
 
     dim: int
     layers: int
@@ -44,6 +50,11 @@ class ParameterStore:
     num_relations: int
     num_types: int  # named types; the table holds one extra untyped row
     tensors: dict[str, Tensor2] = field(repr=False)
+    data: np.ndarray = field(init=False, repr=False, compare=False)
+    grad: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.data, self.grad = ad.pack_tensors(self.tensors.values())
 
     def names(self) -> list[str]:
         return list(self.tensors)
@@ -78,7 +89,7 @@ class ParameterStore:
         return materialize(row[: self.dim], row[self.dim :])
 
     def zero_grads(self) -> None:
-        ad.zero_grads(self.tensors.values())
+        self.grad.fill(0.0)
 
 
 def init_parameters(

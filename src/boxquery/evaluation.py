@@ -22,6 +22,7 @@ import numpy as np
 from .boxes import DEFAULT_ALPHA
 from .encoder import ParameterStore, QueryEncoding, encode
 from .queries import TEMPLATE_NAMES, QueryInstance
+from .sampling import non_answers
 
 MODES = ("classification", "ranking", "both")
 
@@ -122,9 +123,17 @@ def entity_distances(
 
 
 def _pair_wins(pos: np.ndarray, neg: np.ndarray) -> float:
-    closer = (pos[:, None] < neg[None, :]).sum()
-    ties = (pos[:, None] == neg[None, :]).sum()
-    return float(closer) + 0.5 * float(ties)
+    """Pairs with the answer strictly closer, plus half the tied pairs.
+
+    Counted from the sorted negatives (Mann-Whitney U), without the P x N
+    comparison matrix; NaN distances win and tie nothing, as in that matrix.
+    """
+    neg = np.sort(neg)
+    if neg.size and np.isnan(neg[-1]):  # sort puts NaNs last
+        neg = neg[~np.isnan(neg)]
+    below = int(np.searchsorted(neg, pos, side="left").sum())  # pairs neg < pos
+    upto = int(np.searchsorted(neg, pos, side="right").sum())  # pairs neg <= pos
+    return float(pos.size * neg.size - upto) + 0.5 * float(upto - below)
 
 
 def pairwise_accuracy(
@@ -254,11 +263,11 @@ def evaluate(
             )
         if want_rank:
             if full_ranking:
-                neg_ids = [e for e in range(universe) if e not in truth]
+                neg_ids = non_answers(universe, truth)
             else:
                 neg_ids = list(inst.negatives) + list(inst.hard_negatives)
             metrics.negative_pool += len(neg_ids)
-            if neg_ids:
+            if len(neg_ids):
                 pos = entity_distances(enc, centers, offsets, sorted(truth), alpha)
                 neg = entity_distances(enc, centers, offsets, neg_ids, alpha)
                 metrics.pair_wins += _pair_wins(pos, neg)

@@ -228,12 +228,19 @@ def sample_query(
     )
 
 
-def _draw(pool: list[int], count: int, rng: np.random.Generator) -> list[int]:
-    if count <= 0 or not pool:
+def _draw(pool: np.ndarray, count: int, rng: np.random.Generator) -> list[int]:
+    if count <= 0 or not pool.size:
         return []
-    count = min(count, len(pool))
-    picked = rng.choice(len(pool), size=count, replace=False)
-    return [pool[i] for i in picked]
+    count = min(count, pool.size)
+    picked = rng.choice(pool.size, size=count, replace=False)
+    return pool[picked].tolist()
+
+
+def non_answers(num_entities: int, excluded) -> np.ndarray:
+    """Sorted ids in ``range(num_entities)`` that are not in ``excluded``."""
+    keep = np.ones(num_entities, dtype=bool)
+    keep[np.fromiter(excluded, dtype=np.intp, count=len(excluded))] = False
+    return np.flatnonzero(keep)
 
 
 def sample_negatives(
@@ -255,23 +262,22 @@ def sample_negatives(
     hard: list[int] = []
     if TEMPLATES[q.query.template].has_intersection and total > 0:
         relaxed = execute_relaxed(kg, q.query)
-        hard_pool = sorted(relaxed - q.targets)
+        hard_pool = np.array(sorted(relaxed - q.targets), dtype=np.intp)
         want = _round_half_up(cfg.hard_negative_fraction * total)
         hard = _draw(hard_pool, want, rng)
 
-    excluded = q.targets | set(hard)
-    pool = [e for e in range(kg.num_entities) if e not in excluded]
+    pool = non_answers(kg.num_entities, q.targets | set(hard))
     want_uniform = total - len(hard)
-    if len(pool) < want_uniform:
+    if pool.size < want_uniform:
         log.warning(
             "only %d non-answers available for %d requested negatives",
-            len(pool),
+            pool.size,
             want_uniform,
         )
     if cfg.typed_negatives and q.query.var_types is not None:
         target_type = q.query.var_types[q.query.shape.target_node]
-        preferred = [e for e in pool if kg.entity_types[e] == target_type]
-        rest = [e for e in pool if kg.entity_types[e] != target_type]
+        same = np.asarray(kg.entity_types)[pool] == target_type
+        preferred, rest = pool[same], pool[~same]
         uniform = _draw(preferred, want_uniform, rng)
         uniform += _draw(rest, want_uniform - len(uniform), rng)
     else:

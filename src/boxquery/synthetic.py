@@ -111,9 +111,7 @@ def clustered_graph(
     if n_entities % n_clusters:
         raise ValueError("n_entities must be divisible by n_clusters")
     size = n_entities // n_clusters
-    members = [
-        list(range(c * size, (c + 1) * size)) for c in range(n_clusters)
-    ]
+    members = [np.arange(c * size, (c + 1) * size) for c in range(n_clusters)]
     triples = []
     for r in range(n_relations):
         sigma = rng.permutation(n_clusters)

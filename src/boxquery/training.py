@@ -240,7 +240,7 @@ def train(
         )
 
     history: list[LogRow] = []
-    best_snapshot: dict[str, np.ndarray] | None = None
+    best_snapshot: np.ndarray | None = None
     best_metric: float | None = None
     best_step: int | None = None
     bad_evals = 0
@@ -267,9 +267,7 @@ def train(
                 if best_metric is None or metric > best_metric:
                     best_metric = metric
                     best_step = step
-                    best_snapshot = {
-                        name: ps[name].data.copy() for name in ps.names()
-                    }
+                    best_snapshot = ps.data.copy()
                     bad_evals = 0
                 else:
                     bad_evals += 1
@@ -284,8 +282,7 @@ def train(
         history.append(row)
 
     if best_snapshot is not None:
-        for name, data in best_snapshot.items():
-            ps[name].data[:] = data
+        ps.data[:] = best_snapshot
 
     if checkpoint_path is not None:
         save_checkpoint(ps, adam, checkpoint_path, step=step, rng=rng)
@@ -319,7 +316,8 @@ def write_training_log(history: Sequence[LogRow], path: str | Path) -> Path:
 # Layout: magic, version, header length, JSON header, then raw float64
 # buffers in header order (parameter tensors, Adam first moments, Adam
 # second moments).  Everything needed to rebuild the store is in the
-# header, so loading does not need the graph.
+# header, so loading does not need the graph.  The header lists tensors in
+# store order, so each of the three sections is one packed buffer.
 
 _MAGIC = b"BOXQCKPT"
 _VERSION = 1
@@ -337,6 +335,8 @@ def save_checkpoint(
     rng: np.random.Generator | None = None,
 ) -> Path:
     path = Path(path)
+    if adam.m_flat.size != ps.data.size:
+        raise ValueError("optimizer state does not match the parameter store")
     names = ps.names()
     header = {
         "version": _VERSION,
@@ -364,12 +364,8 @@ def save_checkpoint(
         fh.write(struct.pack("<I", _VERSION))
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        for name in names:
-            fh.write(np.ascontiguousarray(ps[name].data).tobytes())
-        for buf in adam.m:
-            fh.write(np.ascontiguousarray(buf).tobytes())
-        for buf in adam.v:
-            fh.write(np.ascontiguousarray(buf).tobytes())
+        for buf in (ps.data, adam.m_flat, adam.v_flat):
+            fh.write(memoryview(buf))  # the bytes of tobytes(), without a copy
     return path
 
 
@@ -410,21 +406,20 @@ def load_checkpoint(
             f" expected {aggregation!r}"
         )
 
-    def read_array(rows: int, cols: int) -> np.ndarray:
-        nonlocal cursor
-        count = rows * cols
-        end = cursor + count * 8
-        if end > len(raw):
-            raise CheckpointError(f"truncated checkpoint: {path}")
-        arr = np.frombuffer(raw[cursor:end], dtype=np.float64).reshape(rows, cols)
-        cursor = end
-        return arr.copy()
-
+    size = sum(rows * cols for _, rows, cols in header["tensors"])
+    end = cursor + 3 * size * 8
+    if end > len(raw):
+        raise CheckpointError(f"truncated checkpoint: {path}")
+    if end != len(raw):
+        raise CheckpointError(f"trailing bytes in checkpoint: {path}")
+    body = np.frombuffer(raw, dtype=np.float64, count=3 * size, offset=cursor)
+    data = body[:size].copy()
     tensors: dict[str, Tensor2] = {}
-    shapes: list[tuple[int, int]] = []
+    start = 0
     for name, rows, cols in header["tensors"]:
-        tensors[name] = Tensor2(read_array(rows, cols), requires_grad=True)
-        shapes.append((rows, cols))
+        stop = start + rows * cols
+        tensors[name] = Tensor2(data[start:stop].reshape(rows, cols), requires_grad=True)
+        start = stop
     ps = ParameterStore(
         dim=header["dim"],
         layers=header["layers"],
@@ -443,8 +438,6 @@ def load_checkpoint(
         eps=meta["eps"],
     )
     adam.t = meta["t"]
-    adam.m = [read_array(r, c) for r, c in shapes]
-    adam.v = [read_array(r, c) for r, c in shapes]
-    if cursor != len(raw):
-        raise CheckpointError(f"trailing bytes in checkpoint: {path}")
+    adam.m_flat[:] = body[size : 2 * size]
+    adam.v_flat[:] = body[2 * size :]
     return ps, adam, header["step"], header.get("rng_state")

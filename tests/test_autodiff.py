@@ -175,6 +175,36 @@ class TestFiniteDiff:
         ad.sum_all(ad.gather_rows(x, [1, 1])).backward()
         np.testing.assert_array_equal(x.grad, [[0, 0], [2, 2], [0, 0]])
 
+    @pytest.mark.parametrize("dense_term", [False, True])
+    def test_row_sparse_adjoint_matches_dense_bitwise(self, dense_gather, dense_term):
+        # repeated, unsorted, negative and single ids and rows shared between
+        # gathers, added to a gradient buffer that already holds values; with
+        # dense_term the table also gets a dense adjoint, directly and through
+        # a gather from a non-leaf
+        rng = np.random.default_rng(7)
+        table = rng.normal(size=(6, 3))
+        held = rng.normal(size=(6, 3)) * 1e3  # makes the order of additions show
+        w = tensor(rng.normal(size=(3, 2)))
+        id_lists = ([4, 1, 4, -2, 0], [2, 3], [5], [0, 1, 2])
+
+        def grad_bytes():
+            x = tensor(table.copy(), requires_grad=True)
+            x.grad = held.copy()
+            total = tensor(0.0)
+            for ids in id_lists:
+                part = ad.matmul(ad.gather_rows(x, ids), w)
+                total = total + ad.sum_all(ad.softplus(part))
+            if dense_term:
+                scaled = ad.matmul(ad.gather_rows(x * 1.5, [3, 3, 0]), w)
+                total = total + ad.sum_all(ad.softplus(scaled))
+                total = total + ad.sum_all(ad.softplus(x))
+            total.backward()
+            return x.grad.tobytes()
+
+        sparse = grad_bytes()
+        with dense_gather():
+            assert grad_bytes() == sparse
+
 
 class TestShapes:
     def test_coercion(self):

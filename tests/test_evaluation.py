@@ -12,6 +12,7 @@ from boxquery.evaluation import (
     confusion,
     emit_report,
     evaluate,
+    _pair_wins,
     load_report,
     pairwise_accuracy,
 )
@@ -158,6 +159,19 @@ class TestPairwiseAccuracy:
         assert pairwise_accuracy(a, b) == pairwise_accuracy(
             [3.7 * x for x in a], [3.7 * x for x in b]
         )
+
+    def test_sort_count_matches_comparison_matrix(self):
+        # half-integer draws from a few values give many ties; some trials
+        # put NaN on both sides
+        rng = np.random.default_rng(5)
+        for trial in range(60):
+            pos = rng.integers(0, 6, size=rng.integers(1, 9)) / 2.0
+            neg = rng.integers(0, 6, size=rng.integers(1, 40)) / 2.0
+            if trial % 4 == 0:
+                pos[0] = neg[-1] = np.nan
+            closer = (pos[:, None] < neg[None, :]).sum()
+            ties = (pos[:, None] == neg[None, :]).sum()
+            assert _pair_wins(pos, neg) == float(closer) + 0.5 * float(ties)
 
     def test_empty_side_rejected(self):
         with pytest.raises(ValueError):

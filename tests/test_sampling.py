@@ -5,7 +5,13 @@ import logging
 import numpy as np
 import pytest
 
-from boxquery.queries import QueryInstance, execute, instantiate
+from boxquery.queries import (
+    TEMPLATES,
+    QueryInstance,
+    execute,
+    execute_relaxed,
+    instantiate,
+)
 from boxquery.sampling import (
     EdgeSplit,
     Rejection,
@@ -259,6 +265,43 @@ class TestSampleNegatives:
         uniform, _ = sample_negatives(kg, inst, cfg, np.random.default_rng(0))
         # T2 is the only other topic, so a budget of one must pick it
         assert uniform == (kg.entity_id("T2"),)
+
+    def test_draws_match_list_based_pools(self, hub):
+        # reference: the pools as Python lists over range(N), drawn the same way
+        def reference(inst, cfg, rng):
+            def draw(pool, count):
+                if count <= 0 or not pool:
+                    return []
+                picked = rng.choice(len(pool), size=min(count, len(pool)), replace=False)
+                return [pool[i] for i in picked]
+
+            total, hard = cfg.negatives_per_query, []
+            if TEMPLATES[inst.query.template].has_intersection:
+                relaxed = execute_relaxed(hub, inst.query)
+                want = int(np.floor(cfg.hard_negative_fraction * total + 0.5))
+                hard = draw(sorted(relaxed - inst.targets), want)
+            excluded = inst.targets | set(hard)
+            pool = [e for e in range(hub.num_entities) if e not in excluded]
+            if not cfg.typed_negatives:
+                return tuple(draw(pool, total - len(hard))), tuple(hard)
+            target_type = inst.query.var_types[inst.query.shape.target_node]
+            preferred = [e for e in pool if hub.entity_types[e] == target_type]
+            rest = [e for e in pool if hub.entity_types[e] != target_type]
+            uniform = draw(preferred, total - len(hard))
+            uniform += draw(rest, total - len(hard) - len(uniform))
+            return tuple(uniform), tuple(hard)
+
+        split = split_edges(hub, 0.10, seed=3)
+        rng = np.random.default_rng(9)
+        for typed in (False, True):
+            cfg = SamplerConfig(negatives_per_query=90, typed_negatives=typed)
+            for template in ("1-chain", "2-inter", "3-inter-chain"):
+                inst = sample_until_accepted(hub, template, split, cfg, rng)
+                state = rng.bit_generator.state
+                drawn = sample_negatives(hub, inst, cfg, rng)
+                rng.bit_generator.state = state
+                assert drawn == reference(inst, cfg, rng)
+                assert all(type(e) is int for e in drawn[0] + drawn[1])
 
     def test_hard_draw_respects_fraction(self, hub):
         split = split_edges(hub, 0.10, seed=0)

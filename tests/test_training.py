@@ -1,5 +1,7 @@
 """Tests for the loss, the training loop, and checkpointing."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -305,6 +307,101 @@ class TestCheckpoints:
             np.testing.assert_allclose(
                 resumed.ps[name].data, straight.ps[name].data, rtol=1e-12
             )
+
+
+class TestPackedTrainingStep:
+    """The packed, row-sparse, fused step against the dense per-tensor one."""
+
+    STEPS = 50
+    LR = 0.05
+
+    @pytest.fixture(scope="class")
+    def packed_case(self):
+        kg = clustered_graph(np.random.default_rng(1), n_entities=80, n_relations=3)
+        split = split_edges(kg, 0.10, seed=1)
+        cfg = SamplerConfig(
+            quotas={"1-chain": 20, "2-chain": 20, "2-inter": 20},
+            negatives_per_query=6,
+            seed=1,
+        )
+        drawn, _ = generate_datasets(kg, split, cfg)
+        steps, shared = [], 0
+        for i, inst in enumerate(drawn[: self.STEPS]):
+            anchor = inst.query.anchors[0]
+            if i % 2 == 0:  # repeated ids inside one gather
+                inst = replace(inst, negatives=inst.negatives + inst.negatives[:2])
+            elif anchor not in inst.targets:  # an anchor's row is a negative's too
+                inst = replace(inst, negatives=inst.negatives + (anchor,))
+                shared += 1
+            steps.append(inst)
+        assert shared >= 10
+        assert {inst.query.template for inst in steps} == {
+            "1-chain", "2-chain", "2-inter"
+        }
+        return kg, steps
+
+    def _store(self, kg):
+        return init_parameters(kg, dim=6, layers=2, seed=4, aggregation="tm")
+
+    def _train(self, ps, steps):
+        adam = AdamState(ps.parameters(), lr=self.LR)
+        for inst in steps:
+            total = instance_loss(ps, inst, "tm")
+            ps.zero_grads()
+            total.backward()
+            adam_step(ps.parameters(), None, adam)
+        return adam
+
+    def test_matches_dense_per_tensor_reference_bitwise(self, packed_case, dense_gather):
+        kg, steps = packed_case
+        ps = self._store(kg)
+        adam = self._train(ps, steps)
+
+        ref = self._store(kg)
+        params = ref.parameters()
+        m = [np.zeros_like(p.data) for p in params]
+        v = [np.zeros_like(p.data) for p in params]
+        b1, b2, lr, eps = 0.9, 0.999, self.LR, 1e-8
+        with dense_gather():
+            for t, inst in enumerate(steps, start=1):
+                total = instance_loss(ref, inst, "tm")
+                for p in params:
+                    p.grad = np.zeros_like(p.data)
+                total.backward()
+                for p, m_t, v_t in zip(params, m, v):
+                    g = p.grad
+                    m_t *= b1
+                    m_t += (1 - b1) * g
+                    v_t *= b2
+                    v_t += (1 - b2) * g * g
+                    m_hat = m_t / (1 - b1**t)
+                    v_hat = v_t / (1 - b2**t)
+                    p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+        assert adam.t == len(steps)
+        for i, name in enumerate(ps.names()):
+            assert ps[name].data.tobytes() == ref[name].data.tobytes(), name
+            assert adam.m[i].tobytes() == m[i].tobytes(), name
+            assert adam.v[i].tobytes() == v[i].tobytes(), name
+
+    def test_store_is_packed_and_checkpoint_round_trips(self, packed_case, tmp_path):
+        kg, steps = packed_case
+        ps = self._store(kg)
+        adam = self._train(ps, steps[:5])
+        first = save_checkpoint(ps, adam, tmp_path / "a.ckpt", step=5)
+        ps2, adam2, step, _ = load_checkpoint(first)
+        second = save_checkpoint(ps2, adam2, tmp_path / "b.ckpt", step=step)
+        assert first.read_bytes() == second.read_bytes()
+
+        for store, state in ((ps, adam), (ps2, adam2)):
+            start = store.data.__array_interface__["data"][0]
+            offset = 0
+            for p, m in zip(store.parameters(), state.m):
+                assert p.data.base is store.data and p.grad.base is store.grad
+                assert m.base is state.m_flat
+                assert p.data.__array_interface__["data"][0] == start + offset
+                offset += p.data.nbytes
+            assert offset == store.data.nbytes
 
 
 class TestTrainingLog:
