@@ -50,7 +50,6 @@ from .queries import (
     QueryGraph,
     QueryInstance,
     QueryTemplate,
-    diameter,
     execute,
     execute_by_enumeration,
     execute_relaxed,
@@ -113,7 +112,6 @@ __all__ = [
     "QueryGraph",
     "QueryInstance",
     "QueryTemplate",
-    "diameter",
     "execute",
     "execute_by_enumeration",
     "execute_relaxed",

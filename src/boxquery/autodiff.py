@@ -20,12 +20,38 @@ them, so both forms give the same bits.
 Parameters can be packed (:func:`pack_tensors`): their data and gradients
 become views into two flat buffers, which lets :func:`adam_step` update
 every parameter in one pass.
+
+Inside :func:`no_grad` operations compute the same values but record no
+graph, for forward passes whose result nobody differentiates.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 from scipy.special import expit
+
+# False inside no_grad(): results then keep no parents and no vjp
+_recording = True
+
+
+@contextmanager
+def no_grad():
+    """Compute forward values without recording a graph.
+
+    Results made inside the block have no parents or vjp, so ``backward``
+    cannot reach through them; the values themselves are the same numpy
+    operations, bit for bit.  Blocks nest, and the previous state returns
+    on exit, also when the block raises.
+    """
+    global _recording
+    previous = _recording
+    _recording = False
+    try:
+        yield
+    finally:
+        _recording = previous
 
 
 class Tensor2:
@@ -78,7 +104,7 @@ class Tensor2:
     @staticmethod
     def _result(data, parents, vjp) -> "Tensor2":
         out = Tensor2(data)
-        if any(p.requires_grad for p in parents):
+        if _recording and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._vjp = vjp

@@ -26,7 +26,7 @@ from . import autodiff as ad
 from .autodiff import Tensor2
 from .boxes import Box, materialize, split_raw_box
 from .graphs import KnowledgeGraph
-from .queries import QueryGraph, diameter
+from .queries import TEMPLATES, QueryGraph, QueryTemplate
 
 AGGREGATIONS = ("sum", "max", "tm", "mlp")
 
@@ -160,6 +160,34 @@ def node_features(q: QueryGraph, ps: ParameterStore) -> list[Tensor2]:
     return states
 
 
+# One message into a node: (source node, relation slot, direction, the
+# slots of the node's other messages in that direction).  Messages whose
+# relation ids are equal share a mean, so the count is 1 plus the peers
+# that carry the same relation id.
+_Message = tuple[int, int, str, tuple[int, ...]]
+
+
+def _message_plan(tpl: QueryTemplate) -> tuple[tuple[_Message, ...], ...]:
+    """Per node, its incoming messages in edge order, inverse edges included."""
+    incoming: list[list[tuple[int, int, str]]] = [[] for _ in range(tpl.num_nodes)]
+    for slot, (s, d) in enumerate(tpl.edges):
+        incoming[d].append((s, slot, "fwd"))
+        incoming[s].append((d, slot, "inv"))
+    return tuple(
+        tuple(
+            (src, slot, direction, tuple(
+                other for _, other, way in entries
+                if way == direction and other != slot
+            ))
+            for src, slot, direction in entries
+        )
+        for entries in incoming
+    )
+
+
+_MESSAGE_PLANS = {name: _message_plan(tpl) for name, tpl in TEMPLATES.items()}
+
+
 def message_pass(
     states: list[Tensor2],
     q: QueryGraph,
@@ -175,21 +203,15 @@ def message_pass(
     """
     if not 1 <= layer <= ps.layers:
         raise ConfigurationError(f"layer {layer} outside 1..{ps.layers}")
-    edges = q.edge_list()
-    n = q.shape.num_nodes
-    incoming: list[list[tuple[int, int, str]]] = [[] for _ in range(n)]
-    for s, r, d in edges:
-        incoming[d].append((s, r, "fwd"))
-        incoming[s].append((d, r, "inv"))
+    relations = q.relations
     out: list[Tensor2] = []
-    for node in range(n):
+    for node, messages in enumerate(_MESSAGE_PLANS[q.template]):
         acc = ad.matmul(states[node], ps.self_weight(layer))
-        counts: dict[tuple[int, str], int] = {}
-        for _, r, direction in incoming[node]:
-            counts[(r, direction)] = counts.get((r, direction), 0) + 1
-        for src, r, direction in incoming[node]:
+        for src, slot, direction, peers in messages:
+            r = relations[slot]
+            count = 1 + sum(relations[p] == r for p in peers)
             msg = ad.matmul(states[src], ps.relation_weight(layer, r, direction))
-            acc = acc + msg * (1.0 / counts[(r, direction)])
+            acc = acc + msg * (1.0 / count)
         out.append(acc if last else ad.relu(acc))
     return out
 
@@ -241,7 +263,7 @@ def encode(
 ) -> QueryEncoding:
     """Full pipeline: features -> message passing -> aggregate -> box.
 
-    The target read-out (``tm``) runs exactly ``diameter(q)`` steps; any
+    The target read-out (``tm``) runs exactly ``q.shape.diameter`` steps; any
     explicit step count that disagrees is a configuration error.  Other
     aggregations run all ``ps.layers`` steps unless overridden.
     """
@@ -251,7 +273,7 @@ def encode(
     if method == "mlp" and "mlp_w1" not in ps.tensors:
         raise ConfigurationError("store was initialized without MLP weights")
     if method == "tm":
-        needed = diameter(q)
+        needed = q.shape.diameter
         if steps is None:
             steps = needed
         if steps != needed:

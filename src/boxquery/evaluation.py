@@ -20,7 +20,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .boxes import DEFAULT_ALPHA
-from .encoder import ParameterStore, QueryEncoding, encode
+from .autodiff import no_grad
+from .encoder import ParameterStore, encode
 from .queries import TEMPLATE_NAMES, QueryInstance
 from .sampling import non_answers
 
@@ -68,58 +69,89 @@ class ConfusionMatrix:
         return 2.0 * p * r / (p + r) if p + r else 0.0
 
 
+def _entity_ids(entities, universe: int) -> np.ndarray:
+    """A collection of entity ids as an index array, all in ``range(universe)``."""
+    ids = np.fromiter(entities, dtype=np.intp, count=len(entities))
+    outside = ids[(ids < 0) | (ids >= universe)]
+    if outside.size:
+        raise ValueError(f"entity id {outside[0]} outside universe of size {universe}")
+    return ids
+
+
+def _count(predicted: np.ndarray, truth: np.ndarray) -> ConfusionMatrix:
+    """Confusion counts of a predicted-answer mask against distinct true ids."""
+    tp = int(np.count_nonzero(predicted[truth]))
+    fp = int(np.count_nonzero(predicted)) - tp
+    fn = truth.size - tp
+    return ConfusionMatrix(tp=tp, fp=fp, fn=fn, tn=predicted.size - tp - fp - fn)
+
+
 def confusion(
     predicted: Iterable[int], truth: Iterable[int], universe: int
 ) -> ConfusionMatrix:
-    """Score a predicted entity set against the true answer set."""
-    predicted, truth = set(predicted), set(truth)
-    for e in predicted | truth:
-        if not 0 <= e < universe:
-            raise ValueError(f"entity id {e} outside universe of size {universe}")
-    tp = len(predicted & truth)
-    fp = len(predicted - truth)
-    fn = len(truth - predicted)
-    return ConfusionMatrix(tp=tp, fp=fp, fn=fn, tn=universe - tp - fp - fn)
+    """Score a predicted entity set against the true answer set.
+
+    Ids outside ``range(universe)`` on either side raise ``ValueError``.
+    """
+    mask = np.zeros(universe, dtype=bool)
+    mask[_entity_ids(set(predicted), universe)] = True
+    return _count(mask, _entity_ids(set(truth), universe))
 
 
-def classify_box(
+def separation(
     q_center: np.ndarray,
     q_offset: np.ndarray,
     centers: np.ndarray,
     offsets: np.ndarray,
+    delta: np.ndarray | None = None,
+    span: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per entity box, ``|c - q_c|`` and ``o + q_o``, what overlap and distance read.
+
+    ``offsets`` must already be clamped.  Results go into ``delta`` and
+    ``span`` when given; ``span`` may be ``offsets`` itself.
+    """
+    delta = np.subtract(centers, q_center, out=delta)
+    np.abs(delta, out=delta)
+    return delta, np.add(offsets, q_offset, out=span)
+
+
+def overlaps(
+    delta: np.ndarray, span: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Overlap mask of one query box against a stack of entity boxes.
+    """Which entity boxes overlap the query box, from :func:`separation`.
 
     Boxes are closed, so touching counts as overlap; equivalently the
-    outside distance is exactly zero.
+    outside distance is exactly zero.  ``out`` is a boolean work buffer
+    shaped like ``delta``.
     """
-    return np.all(
-        np.abs(centers - q_center) <= offsets + q_offset, axis=1
-    )
+    return np.less_equal(delta, span, out=out).all(axis=1)
+
+
+def distances(
+    delta: np.ndarray,
+    span: np.ndarray,
+    alpha: float = DEFAULT_ALPHA,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
+    """Box distance per entity, ``outside + alpha * inside``, from :func:`separation`.
+
+    ``work`` is a float work buffer shaped like ``delta``.
+    """
+    work = np.subtract(delta, span, out=work)
+    outside = np.maximum(work, 0.0, out=work).sum(axis=1)
+    inside = np.minimum(delta, span, out=work).sum(axis=1)
+    return outside + alpha * inside
 
 
 def classify(ps: ParameterStore, q, method: str | None = None) -> frozenset[int]:
     """All entities whose box overlaps the encoded query box."""
-    enc = encode(q, ps, method)
-    centers, offsets = ps.entity_boxes()
-    mask = classify_box(enc.box.center, enc.box.offset, centers, offsets)
-    return frozenset(int(i) for i in np.nonzero(mask)[0])
-
-
-def entity_distances(
-    enc: QueryEncoding,
-    centers: np.ndarray,
-    offsets: np.ndarray,
-    ids: Sequence[int],
-    alpha: float = DEFAULT_ALPHA,
-) -> np.ndarray:
-    """Box distance from the query to each listed entity, vectorized."""
-    rows = np.asarray(ids, dtype=int)
-    delta = np.abs(centers[rows] - enc.box.center)
-    span = offsets[rows] + enc.box.offset
-    outside = np.maximum(delta - span, 0.0).sum(axis=1)
-    inside = np.minimum(delta, span).sum(axis=1)
-    return outside + alpha * inside
+    with no_grad():
+        box = encode(q, ps, method).box
+    table = ps.entity_embeddings.data
+    span = np.maximum(table[:, ps.dim :], 0.0)
+    delta, span = separation(box.center, box.offset, table[:, : ps.dim], span, span=span)
+    return frozenset(np.flatnonzero(overlaps(delta, span)).tolist())
 
 
 def _pair_wins(pos: np.ndarray, neg: np.ndarray) -> float:
@@ -234,7 +266,9 @@ def evaluate(
     Classification scans the full entity universe per query; ranking uses
     each instance's stored negatives (uniform plus hard) unless
     ``full_ranking`` swaps in every non-answer.  Truth is the stored
-    target set, which the sampler computed on the full graph.
+    target set, which the sampler computed on the full graph.  Queries are
+    encoded without a tape, and each takes at most one pass over the
+    entity table, shared by classification and full ranking.
     """
     if mode not in MODES:
         raise ValueError(f"unknown evaluation mode: {mode!r}")
@@ -249,27 +283,46 @@ def evaluate(
     if want_cls:
         for name in TEMPLATE_NAMES:
             per_template[name].confusion = ConfusionMatrix()
+    # At most one pass over the entity table per query, into work buffers
+    # made once per call; without it, ranking against stored negatives
+    # reads only the rows it needs.
+    rank_all = want_rank and full_ranking
+    scan = want_cls or rank_all
+    if scan:
+        delta, span = np.empty_like(centers), np.empty_like(centers)
+        below = np.empty(centers.shape, dtype=bool) if want_cls else None
+        work = np.empty_like(centers) if rank_all else None
 
     for inst in instances:
         metrics = per_template[inst.query.template]
         metrics.queries += 1
-        enc = encode(inst.query, ps, method)
-        truth = inst.targets
+        with no_grad():
+            box = encode(inst.query, ps, method).box
+        truth = _entity_ids(inst.targets, universe)
+        if scan:
+            separation(box.center, box.offset, centers, offsets, delta, span)
         if want_cls:
-            mask = classify_box(enc.box.center, enc.box.offset, centers, offsets)
-            predicted = {int(i) for i in np.nonzero(mask)[0]}
-            metrics.confusion = metrics.confusion + confusion(
-                predicted, truth, universe
+            metrics.confusion = metrics.confusion + _count(
+                overlaps(delta, span, below), truth
             )
         if want_rank:
-            if full_ranking:
-                neg_ids = non_answers(universe, truth)
+            if rank_all:
+                every = distances(delta, span, alpha, work)
+                neg = every[non_answers(universe, truth)]
+                pos = every[truth]
             else:
-                neg_ids = list(inst.negatives) + list(inst.hard_negatives)
-            metrics.negative_pool += len(neg_ids)
-            if len(neg_ids):
-                pos = entity_distances(enc, centers, offsets, sorted(truth), alpha)
-                neg = entity_distances(enc, centers, offsets, neg_ids, alpha)
+                rows = np.concatenate(
+                    (truth, np.array(inst.negatives + inst.hard_negatives, dtype=np.intp))
+                )
+                near = (
+                    (delta[rows], span[rows])
+                    if scan
+                    else separation(box.center, box.offset, centers[rows], offsets[rows])
+                )
+                listed = distances(*near, alpha)
+                pos, neg = listed[: truth.size], listed[truth.size :]
+            metrics.negative_pool += neg.size
+            if neg.size:
                 metrics.pair_wins += _pair_wins(pos, neg)
                 metrics.pairs += pos.size * neg.size
 

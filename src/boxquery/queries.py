@@ -173,10 +173,6 @@ def instantiate(
     )
 
 
-def diameter(q: QueryGraph) -> int:
-    return q.shape.diameter
-
-
 def _check_ids(kg: KnowledgeGraph, q: QueryGraph) -> None:
     for a in q.anchors:
         if not 0 <= a < kg.num_entities:

@@ -220,3 +220,48 @@ class TestShapes:
     def test_minimum_requires_same_shape(self):
         with pytest.raises(ValueError):
             ad.minimum(tensor(np.zeros((2, 2))), tensor(np.zeros((1, 2))))
+
+
+class TestNoGrad:
+    @staticmethod
+    def _forward():
+        """Every operation once, on leaves that require gradients."""
+        rng = np.random.default_rng(3)
+        x = tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        w = tensor(rng.normal(size=(6, 6)), requires_grad=True)
+        b = tensor(rng.normal(size=(1, 6)), requires_grad=True)
+        rows = ad.gather_rows(x, [2, 0, 2])
+        h = relu(affine(rows, w, b))
+        low = ad.slice_cols(h, 0, 3)
+        high = ad.absolute(ad.slice_cols(h - 0.5, 3, 6))
+        mixed = ad.minimum(low, high) + ad.maximum(low, high) * 2.0 - 1.0
+        out = ad.row_sum(ad.softplus(mixed))
+        return (x, w, b), [rows, h, low, high, mixed, out, ad.mean_all(out)]
+
+    def test_values_are_bit_identical(self):
+        _, taped = self._forward()
+        with ad.no_grad():
+            _, untaped = self._forward()
+        assert [t.data.tobytes() for t in untaped] == [t.data.tobytes() for t in taped]
+
+    def test_results_record_no_graph(self):
+        with ad.no_grad():
+            leaves, results = self._forward()
+        for t in results:
+            assert t._parents == () and t._vjp is None and not t.requires_grad
+        results[-1].backward()
+        assert all(leaf.grad is None for leaf in leaves)
+        _, taped = self._forward()
+        assert all(t._parents and t._vjp is not None for t in taped)
+
+    def test_state_restored_after_exception_and_nesting(self):
+        x = tensor([1.0, -2.0], requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with ad.no_grad():
+                raise RuntimeError("inside")
+        assert relu(x)._parents == (x,)
+        with ad.no_grad():
+            with ad.no_grad():
+                assert relu(x)._parents == ()
+            assert relu(x)._parents == ()  # the outer block still holds
+        assert relu(x)._parents == (x,)

@@ -14,7 +14,7 @@ from boxquery.encoder import (
     message_pass,
     node_features,
 )
-from boxquery.queries import diameter, instantiate
+from boxquery.queries import TEMPLATES, instantiate
 from boxquery.synthetic import random_graph, toy_collaboration_graph
 
 
@@ -151,6 +151,40 @@ class TestMessagePass:
             s2[same.shape.target_node].data, s1[1].data, rtol=1e-12
         )
 
+    def test_planned_messages_match_per_call_lists_bitwise(self):
+        # the message lists and mean counts built on every call, as before
+        # the per-template plan; repeated relation ids share a count
+        def per_call(states, q, ps, layer, last):
+            incoming = [[] for _ in range(q.shape.num_nodes)]
+            for s, r, d in q.edge_list():
+                incoming[d].append((s, r, "fwd"))
+                incoming[s].append((d, r, "inv"))
+            out = []
+            for node, entries in enumerate(incoming):
+                acc = ad.matmul(states[node], ps.self_weight(layer))
+                counts = {}
+                for _, r, way in entries:
+                    counts[(r, way)] = counts.get((r, way), 0) + 1
+                for src, r, way in entries:
+                    msg = ad.matmul(states[src], ps.relation_weight(layer, r, way))
+                    acc = acc + msg * (1.0 / counts[(r, way)])
+                out.append(acc if last else ad.relu(acc))
+            return out
+
+        kg = random_graph(np.random.default_rng(0), n_entities=12, n_relations=3, n_edges=30)
+        ps = init_parameters(kg, dim=3, layers=2, seed=4)
+        rng = np.random.default_rng(1)
+        for name, tpl in TEMPLATES.items():
+            for trial in range(6):
+                # half the trials draw every relation id the same
+                rels = [1] * tpl.num_edges if trial % 2 else rng.integers(0, 3, tpl.num_edges).tolist()
+                q = instantiate(name, rng.integers(0, 12, tpl.num_anchors).tolist(), rels)
+                for last in (False, True):
+                    states = node_features(q, ps)
+                    got = message_pass(states, q, ps, 2, last)
+                    want = per_call(states, q, ps, 2, last)
+                    assert [t.data.tobytes() for t in got] == [t.data.tobytes() for t in want]
+
 
 class TestAggregate:
     def _states(self, values):
@@ -217,7 +251,7 @@ class TestEncode:
         chain3 = instantiate("3-chain", [0], [0, 1, 0])
         inter = instantiate("2-inter", [0, 1], [0, 1])
         assert encode(chain3, ps, "tm").box.dim == 3
-        assert encode(inter, ps, "tm", steps=diameter(inter)).box.dim == 3
+        assert encode(inter, ps, "tm", steps=inter.shape.diameter).box.dim == 3
 
     def test_tm_rejects_wrong_step_count(self, kg):
         ps = init_parameters(kg, dim=3, layers=3, seed=4)

@@ -3,20 +3,22 @@
 import numpy as np
 import pytest
 
-from boxquery.boxes import distance_outside, random_box
-from boxquery.encoder import init_parameters
+from boxquery.boxes import DEFAULT_ALPHA, distance_outside, random_box
+from boxquery.encoder import encode, init_parameters
 from boxquery.evaluation import (
     ConfusionMatrix,
+    TemplateMetrics,
     classify,
-    classify_box,
     confusion,
     emit_report,
     evaluate,
     _pair_wins,
     load_report,
+    overlaps,
     pairwise_accuracy,
+    separation,
 )
-from boxquery.queries import TEMPLATE_NAMES, execute, instantiate
+from boxquery.queries import TEMPLATE_NAMES, QueryInstance, execute, instantiate
 from boxquery.sampling import SamplerConfig, generate_datasets, split_edges
 from boxquery.synthetic import hub_graph, toy_collaboration_graph
 
@@ -69,7 +71,7 @@ class TestConfusion:
         assert (total.tp, total.fp, total.fn, total.tn) == (11, 22, 33, 44)
 
 
-class TestClassifyBox:
+class TestOverlaps:
     def test_overlap_decides_membership(self):
         # entity v against three query boxes: inside A, touching B, outside C
         v_center, v_offset = np.array([0.0]), np.array([0.5])
@@ -80,7 +82,7 @@ class TestClassifyBox:
         }
         verdict = {
             name: bool(
-                classify_box(c, o, v_center[None, :], v_offset[None, :])[0]
+                overlaps(*separation(c, o, v_center[None, :], v_offset[None, :]))[0]
             )
             for name, (c, o) in queries.items()
         }
@@ -91,9 +93,9 @@ class TestClassifyBox:
         for _ in range(300):
             a = random_box(rng, dim=3)
             b = random_box(rng, dim=3)
-            mask = classify_box(
+            mask = overlaps(*separation(
                 a.center, a.offset, b.center[None, :], b.offset[None, :]
-            )[0]
+            ))[0]
             assert bool(mask) == (distance_outside(a, b) == 0.0)
 
 
@@ -107,17 +109,15 @@ class TestClassify:
         # plant the encoder output far away by zeroing every weight except
         # a bias-free self map; easier: check against hand-built stores via
         # the mask directly
-        far = classify_box(
+        far = overlaps(*separation(
             np.array([100.0, 100.0]), np.array([0.0, 0.0]), table[:, :2], table[:, 2:]
-        )
+        ))
         assert not far.any()
 
     def test_all_inclusive_query_predicts_everything(self, kg):
         ps = init_parameters(kg, dim=2, layers=1, seed=0)
         centers, offsets = ps.entity_boxes()
-        hull = classify_box(
-            np.zeros(2), np.full(2, 1e6), centers, offsets
-        )
+        hull = overlaps(*separation(np.zeros(2), np.full(2, 1e6), centers, offsets))
         assert hull.all()
 
     def test_classify_agrees_with_manual_scan(self, kg):
@@ -125,8 +125,6 @@ class TestClassify:
         q = instantiate("2-inter", [0, 1], [0, 1])
         predicted = classify(ps, q, "sum")
         centers, offsets = ps.entity_boxes()
-        from boxquery.encoder import encode
-
         enc = encode(q, ps, "sum")
         manual = {
             e
@@ -310,3 +308,169 @@ class TestReports:
         report = evaluate(ps, instances[:2])
         with pytest.raises(ValueError):
             emit_report(report, tmp_path / "report.xml", "xml")
+
+
+# ---------------------------------------------------------------------------
+# the inference path against the tape-based, set-based form it replaced
+
+
+def _reference_report(ps, instances, mode, full_ranking, alpha=DEFAULT_ALPHA):
+    """``evaluate`` as written before: a tape encode per query, Python sets
+    for the confusion counts, and distances over gathered rows."""
+    want_cls = mode in ("classification", "both")
+    want_rank = mode in ("ranking", "both")
+    centers, offsets = ps.entity_boxes()
+    universe = ps.num_entities
+
+    def gathered_distances(box, ids):
+        rows = np.asarray(ids, dtype=int)
+        delta = np.abs(centers[rows] - box.center)
+        span = offsets[rows] + box.offset
+        outside = np.maximum(delta - span, 0.0).sum(axis=1)
+        inside = np.minimum(delta, span).sum(axis=1)
+        return outside + alpha * inside
+
+    per_template = {name: TemplateMetrics() for name in TEMPLATE_NAMES}
+    if want_cls:
+        for name in TEMPLATE_NAMES:
+            per_template[name].confusion = ConfusionMatrix()
+    for inst in instances:
+        metrics = per_template[inst.query.template]
+        metrics.queries += 1
+        box = encode(inst.query, ps).box
+        truth = set(inst.targets)
+        if want_cls:
+            mask = np.all(np.abs(centers - box.center) <= offsets + box.offset, axis=1)
+            predicted = {int(i) for i in np.nonzero(mask)[0]}
+            for e in predicted | truth:
+                if not 0 <= e < universe:
+                    raise ValueError(f"entity id {e} outside universe")
+            tp = len(predicted & truth)
+            fp = len(predicted - truth)
+            fn = len(truth - predicted)
+            metrics.confusion = metrics.confusion + ConfusionMatrix(
+                tp, fp, fn, universe - tp - fp - fn
+            )
+        if want_rank:
+            if full_ranking:
+                neg_ids = [e for e in range(universe) if e not in truth]
+            else:
+                neg_ids = list(inst.negatives) + list(inst.hard_negatives)
+            metrics.negative_pool += len(neg_ids)
+            if neg_ids:
+                pos = gathered_distances(box, sorted(truth))
+                neg = gathered_distances(box, neg_ids)
+                metrics.pair_wins += float(
+                    (pos[:, None] < neg[None, :]).sum()
+                ) + 0.5 * float((pos[:, None] == neg[None, :]).sum())
+                metrics.pairs += pos.size * neg.size
+
+    overall_conf, wins, pairs = ConfusionMatrix(), 0.0, 0
+    for m in per_template.values():
+        if m.confusion is not None:
+            overall_conf = overall_conf + m.confusion
+        wins += m.pair_wins
+        pairs += m.pairs
+    overall: dict = {"queries": len(instances)}
+    if want_cls:
+        c = overall_conf
+        overall["confusion"] = {"tp": c.tp, "fp": c.fp, "fn": c.fn, "tn": c.tn}
+        overall["precision"] = c.precision
+        overall["recall"] = c.recall
+        overall["f1"] = c.f1
+    overall["pairwise"] = 100.0 * wins / pairs if pairs else None
+    overall["pairs"] = pairs
+    return {
+        "method": ps.aggregation,
+        "mode": mode,
+        "alpha": alpha,
+        "full_ranking": full_ranking,
+        "manifest_hash": None,
+        "templates": {n: per_template[n].to_dict() for n in TEMPLATE_NAMES},
+        "overall": overall,
+    }
+
+
+def _touching_offset(gap: float, q_offset: float) -> float:
+    """The entity offset ``o`` with ``o + q_offset == gap`` exactly."""
+    o = gap - q_offset
+    while o + q_offset > gap:
+        o = np.nextafter(o, -np.inf)
+    while o + q_offset < gap:
+        o = np.nextafter(o, np.inf)
+    assert o + q_offset == gap
+    return o
+
+
+class TestInferenceMatchesReference:
+    @pytest.fixture(scope="class")
+    def seven(self):
+        """A hub graph and queries of all seven templates, a model whose
+        boxes overlap some entities and not others, and two entity boxes
+        next to the first query's box: one touching it exactly on a face,
+        one a float step short of it."""
+        hub = hub_graph(np.random.default_rng(3), n_entities=300, n_relations=4)
+        split = split_edges(hub, 0.10, seed=1)
+        cfg = SamplerConfig(quotas={name: 6 for name in TEMPLATE_NAMES}, seed=1)
+        instances, _ = generate_datasets(hub, split, cfg)
+        ps = init_parameters(hub, dim=4, layers=3, seed=0, aggregation="tm")
+        q = instances[0].query
+        box = encode(q, ps).box
+        touch, short = [e for e in range(hub.num_entities) if e not in q.anchors][:2]
+        table = ps.entity_embeddings.data
+        for e in (touch, short):
+            table[e, :4] = box.center
+            table[e, 4:] = 1e6  # overlap in every other dimension
+            table[e, 0] = box.center[0] + 3.0
+        gap = abs(table[touch, 0] - box.center[0])
+        table[touch, 4] = _touching_offset(gap, box.offset[0])
+        table[short, 4] = np.nextafter(table[touch, 4], -np.inf)
+        again = encode(q, ps).box  # the edited rows are not the query's anchors
+        assert (again.center.tobytes(), again.offset.tobytes()) == (
+            box.center.tobytes(), box.offset.tobytes())
+        return hub, instances, ps, touch, short
+
+    def test_classify_answers_match_the_geometry(self, seven):
+        hub, instances, ps, touch, short = seven
+        centers, offsets = ps.entity_boxes()
+        for inst in instances:
+            box = encode(inst.query, ps).box
+            mask = np.all(np.abs(centers - box.center) <= offsets + box.offset, axis=1)
+            answer = classify(ps, inst.query)
+            assert answer == {int(i) for i in np.nonzero(mask)[0]}
+            assert all(type(e) is int for e in answer)
+        first = classify(ps, instances[0].query)
+        assert touch in first and short not in first
+
+    @pytest.mark.parametrize("full_ranking", [False, True])
+    @pytest.mark.parametrize("mode", ["classification", "ranking", "both"])
+    def test_reports_are_identical(self, seven, mode, full_ranking):
+        _, instances, ps, _, _ = seven
+        report = evaluate(ps, instances, mode=mode, full_ranking=full_ranking)
+        assert report.to_dict() == _reference_report(ps, instances, mode, full_ranking)
+
+    def test_encode_leaves_no_tape_during_evaluation(self, seven, monkeypatch):
+        _, instances, ps, _, _ = seven
+        seen = []
+
+        def spy(q, store, method=None):
+            enc = encode(q, store, method)
+            seen.append(enc.center._parents or enc.offset._parents)
+            return enc
+
+        monkeypatch.setattr("boxquery.evaluation.encode", spy)
+        evaluate(ps, instances[:5], mode="both")
+        classify(ps, instances[0].query)
+        assert seen and not any(seen)
+        assert encode(instances[0].query, ps).center._parents  # a tape outside
+
+    @pytest.mark.parametrize("mode", ["classification", "ranking", "both"])
+    def test_target_outside_universe_rejected(self, seven, mode):
+        hub, instances, ps, _, _ = seven
+        inst = instances[0]
+        for bad in (hub.num_entities, -1):
+            rogue = QueryInstance(inst.query, frozenset({bad}), (), (), "test")
+            with pytest.raises(ValueError, match="outside universe"):
+                evaluate(ps, [rogue], mode=mode)
+        with pytest.raises(ValueError, match="outside universe"):
+            confusion({0}, {hub.num_entities}, hub.num_entities)

@@ -7,7 +7,6 @@ from boxquery.queries import (
     TEMPLATES,
     ArityError,
     UnsupportedTemplateError,
-    diameter,
     execute,
     execute_by_enumeration,
     execute_relaxed,
@@ -64,7 +63,7 @@ class TestTemplates:
         tpl = TEMPLATES[name]
         anchors = [kg_t.entity_id("Alice")] * tpl.num_anchors
         rels = [kg_t.relation_id("works_on")] * tpl.num_edges
-        assert diameter(instantiate(name, anchors, rels)) == expected
+        assert instantiate(name, anchors, rels).shape.diameter == expected
 
     def test_arity_mismatch(self, kg_t):
         with pytest.raises(ArityError):

@@ -188,6 +188,21 @@ class TestTrainLoop:
         for name in a.ps.names():
             np.testing.assert_array_equal(a.ps[name].data, b.ps[name].data)
 
+    def test_validation_every_step_leaves_training_unchanged(self, kg, toy_datasets):
+        # validation encodes without a tape; training after it must still
+        # record one, so the losses match a run that never validates
+        cfg = TrainConfig(max_steps=30, eval_every=1, patience=1000, dim=3, layers=2, seed=5)
+        a = train(kg, toy_datasets, cfg)
+        b = train(kg, toy_datasets, cfg)
+        assert all(r.val_pairwise is not None for r in a.history)
+        for name in a.ps.names():
+            assert a.ps[name].data.tobytes() == b.ps[name].data.tobytes()
+        unvalidated = train(kg, toy_datasets, replace(cfg, eval_every=10_000))
+        assert [r.train_loss for r in a.history] == [
+            r.train_loss for r in unvalidated.history
+        ]
+        assert ad.relu(a.ps.entity_embeddings)._parents  # a tape after training
+
     def test_empty_train_split_rejected(self, kg):
         with pytest.raises(ValueError):
             train(kg, {"train": []}, TrainConfig(max_steps=5))
