@@ -24,6 +24,7 @@ from .encoder import (
     ParameterStore,
     QueryEncoding,
     encode,
+    encode_many,
     init_parameters,
 )
 from .evaluation import (
@@ -69,6 +70,7 @@ from .sampling import (
 )
 from .training import (
     CheckpointError,
+    NonFiniteLossError,
     TrainConfig,
     TrainResult,
     load_checkpoint,
@@ -92,6 +94,7 @@ __all__ = [
     "ParameterStore",
     "QueryEncoding",
     "encode",
+    "encode_many",
     "init_parameters",
     "ConfusionMatrix",
     "EvalReport",
@@ -127,6 +130,7 @@ __all__ = [
     "split_edges",
     "write_datasets",
     "CheckpointError",
+    "NonFiniteLossError",
     "TrainConfig",
     "TrainResult",
     "load_checkpoint",

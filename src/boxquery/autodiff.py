@@ -6,9 +6,13 @@ minimal: matrices only, a handful of operations, and one broadcasting rule
 summed over rows).  Everything runs in float64 with numpy's deterministic
 reduction order.
 
-Gradients accumulate additively into ``.grad`` buffers: each call to
-``backward()`` first computes the adjoints of the whole graph and then adds
-them in, so running backward twice doubles every gradient exactly.
+Gradients accumulate additively into the ``.grad`` buffers of leaves, the
+tensors that no operation made: each call to ``backward()`` adds a leaf's
+adjoint in once it is complete, so running backward twice doubles every
+gradient exactly.  Intermediate results keep no gradient.
+
+Products are formed row by row (:func:`matmul`, :func:`gathered_matmul`),
+so a row of a many-row result has the bits of the same row computed alone.
 
 The adjoint of a row gather is row-sparse (:class:`RowSparse`): it names
 the rows a gather read and their summed gradients, so a step touches
@@ -111,9 +115,11 @@ class Tensor2:
         return out
 
     def backward(self) -> None:
-        """Accumulate d(self)/d(node) into every graph node's ``.grad``.
+        """Accumulate d(self)/d(leaf) into the ``.grad`` of every leaf it reaches.
 
-        Only defined for 1x1 outputs (losses).
+        Only defined for 1x1 outputs (losses).  Leaves are the tensors that
+        no operation made; intermediate results get no ``.grad``, and each
+        intermediate adjoint is dropped once its vjp has run.
         """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar (1x1) tensor")
@@ -131,35 +137,34 @@ class Tensor2:
             stack.append((node, True))
             for p in node._parents:
                 stack.append((p, False))
+        # every consumer of a node comes before it here, so a node's
+        # adjoint is complete when its turn comes
         adjoint: dict[int, np.ndarray | RowSparse] = {id(self): np.ones((1, 1))}
         for node in reversed(topo):
-            g = adjoint.get(id(node))
+            g = adjoint.pop(id(node), None)
             if g is None:
                 continue
-            if node._vjp is not None:
+            if node._vjp is None:
                 if isinstance(g, RowSparse):
-                    g = adjoint[id(node)] = g.dense()
-                for parent, contrib in zip(node._parents, node._vjp(g)):
-                    if contrib is None or not parent.requires_grad:
-                        continue
-                    key = id(parent)
-                    if key in adjoint:
-                        adjoint[key] = _accumulate(adjoint[key], contrib)
-                    else:
-                        adjoint[key] = contrib
-        for node in topo:
-            g = adjoint.get(id(node))
-            if g is None:
+                    if node.grad is None:
+                        node.grad = np.zeros_like(node.data)
+                    rows, sums = g.summed()
+                    node.grad[rows] += sums
+                elif node.grad is None:
+                    node.grad = g + 0.0  # the bits of zeros + g, without the zeros
+                else:
+                    node.grad += g
                 continue
             if isinstance(g, RowSparse):
-                if node.grad is None:
-                    node.grad = np.zeros_like(node.data)
-                rows, sums = g.summed()
-                node.grad[rows] += sums
-            elif node.grad is None:
-                node.grad = g + 0.0  # the bits of zeros + g, without the zeros
-            else:
-                node.grad += g
+                g = g.dense()
+            for parent, contrib in zip(node._parents, node._vjp(g)):
+                if contrib is None or not parent.requires_grad:
+                    continue
+                key = id(parent)
+                if key in adjoint:
+                    adjoint[key] = _accumulate(adjoint[key], contrib)
+                else:
+                    adjoint[key] = contrib
 
     # -- operators -----------------------------------------------------------
 
@@ -222,14 +227,78 @@ def _shift(a: Tensor2, c: float) -> Tensor2:
     return Tensor2._result(a.data + c, (a,), lambda g: (g,))
 
 
+def _row_products(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` with each row's product formed alone.
+
+    For several rows numpy's 2-D product runs one gemm, whose bits differ
+    from those of the one-row products; a stack of 1-row products runs one
+    gemv per row, each with the bits of that row multiplied on its own.
+    """
+    if x.shape[0] == 1:
+        return x @ w
+    return np.matmul(x[:, None, :], w)[:, 0, :]
+
+
 def matmul(a: Tensor2, b: Tensor2) -> Tensor2:
+    """``a @ b``, row by row: each row has the bits of its one-row product."""
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch for matmul: {a.shape} @ {b.shape}")
 
     def vjp(g):
         return g @ b.data.T, a.data.T @ g
 
-    return Tensor2._result(a.data @ b.data, (a, b), vjp)
+    return Tensor2._result(_row_products(a.data, b.data), (a, b), vjp)
+
+
+def gathered_matmul(x: Tensor2, weights, idx, scale) -> Tensor2:
+    """Row i is ``(x[i] @ weights[idx[i]]) * scale[i]``, formed row by row.
+
+    ``weights`` is a sequence of tensors of one shape, ``idx`` holds a
+    position in it per row of ``x`` and ``scale`` a float per row.  Only
+    the weights that ``idx`` names take part in the graph.  One row gives
+    the bits of ``matmul`` then ``*``, and its adjoint is scaled before the
+    two products, as that pair of operations forms it.
+    """
+    rows = x.rows
+    if len(idx) != rows or len(scale) != rows:
+        raise ValueError(f"need one index and one scale per row of {x.shape}")
+    if rows == 1:
+        w, s = weights[idx[0]], float(scale[0])
+        if x.cols != w.rows:
+            raise ValueError(f"shape mismatch for gathered_matmul: {x.shape} @ {w.shape}")
+
+        def vjp_one(g):
+            g = g * s
+            return g @ w.data.T, x.data.T @ g
+
+        return Tensor2._result((x.data @ w.data) * s, (x, w), vjp_one)
+
+    idx = np.asarray(idx, dtype=np.intp)
+    used, inverse = np.unique(idx, return_inverse=True)
+    if used[0] < 0 or used[-1] >= len(weights):
+        raise ValueError(f"weight positions must lie in 0..{len(weights) - 1}")
+    tensors = [weights[i] for i in used]
+    if any(w.shape != (x.cols, tensors[0].cols) for w in tensors):
+        raise ValueError(f"shape mismatch for gathered_matmul: {x.shape} @ "
+                         f"{[w.shape for w in tensors]}")
+    groups = [np.flatnonzero(inverse == j) for j in range(used.size)]
+    column = np.asarray(scale, dtype=np.float64)[:, None]
+    out = np.empty((rows, tensors[0].cols))
+    for w, members in zip(tensors, groups):
+        out[members] = _row_products(x.data[members], w.data)
+    out *= column
+
+    def vjp(g):
+        g = g * column
+        dx = np.empty_like(x.data)
+        dws = []
+        for w, members in zip(tensors, groups):
+            part = g[members]
+            dx[members] = part @ w.data.T
+            dws.append(x.data[members].T @ part)
+        return (dx, *dws)
+
+    return Tensor2._result(out, (x, *tensors), vjp)
 
 
 def affine(x: Tensor2, w: Tensor2, b: Tensor2) -> Tensor2:

@@ -10,6 +10,11 @@ reaches the target regardless of edge orientation.  A final aggregation
 2d vector that is split into the center and clamped offset of the query
 box.
 
+Node states hold one row per query, so :func:`encode_many` runs queries
+of one template through the same code as :func:`encode` runs one.  Every
+product is formed row by row, so a row's bits do not depend on the other
+queries in the batch.
+
 All state lives in a :class:`ParameterStore` of named tensors so the
 optimizer and the checkpoint format can enumerate every parameter.  The
 store packs them: each tensor's data and gradient are views into one flat
@@ -19,6 +24,7 @@ buffer apiece, in :meth:`ParameterStore.names` order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -52,9 +58,20 @@ class ParameterStore:
     tensors: dict[str, Tensor2] = field(repr=False)
     data: np.ndarray = field(init=False, repr=False, compare=False)
     grad: np.ndarray = field(init=False, repr=False, compare=False)
+    _relation_weights: dict[tuple[int, str], tuple[Tensor2, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         self.data, self.grad = ad.pack_tensors(self.tensors.values())
+        self._relation_weights = {
+            (layer, direction): tuple(
+                self.tensors[f"msg{layer}_rel{r}_{direction}"]
+                for r in range(self.num_relations)
+            )
+            for layer in range(1, self.layers + 1)
+            for direction in ("fwd", "inv")
+        }
 
     def names(self) -> list[str]:
         return list(self.tensors)
@@ -78,6 +95,10 @@ class ParameterStore:
 
     def relation_weight(self, layer: int, relation: int, direction: str) -> Tensor2:
         return self.tensors[f"msg{layer}_rel{relation}_{direction}"]
+
+    def relation_weights(self, layer: int, direction: str) -> tuple[Tensor2, ...]:
+        """One layer's weights for ``direction``, indexed by relation id."""
+        return self._relation_weights[layer, direction]
 
     def entity_boxes(self) -> tuple[np.ndarray, np.ndarray]:
         """(centers, clamped offsets) of all entity boxes, as plain arrays."""
@@ -143,20 +164,22 @@ def init_parameters(
     )
 
 
-def node_features(q: QueryGraph, ps: ParameterStore) -> list[Tensor2]:
-    """Initial per-node states: entity rows for anchors, type rows otherwise."""
-    tpl = q.shape
-    bindings = q.node_bindings()
+def node_features(queries: Sequence[QueryGraph], ps: ParameterStore) -> list[Tensor2]:
+    """Initial node states, one row per query: entity rows for anchors,
+    type rows otherwise.  The queries share one template."""
+    tpl = queries[0].shape
     untyped = ps.num_types
+    bound = dict(zip(tpl.anchor_nodes, zip(*(q.anchors for q in queries))))
     states = []
     for node in range(tpl.num_nodes):
-        if node in bindings:
-            states.append(ad.gather_rows(ps.entity_embeddings, [bindings[node]]))
+        if node in bound:
+            states.append(ad.gather_rows(ps.entity_embeddings, bound[node]))
         else:
-            hint = untyped
-            if q.var_types is not None:
-                hint = min(q.var_types[node], untyped)
-            states.append(ad.gather_rows(ps.type_embeddings, [hint]))
+            hints = [
+                untyped if q.var_types is None else min(q.var_types[node], untyped)
+                for q in queries
+            ]
+            states.append(ad.gather_rows(ps.type_embeddings, hints))
     return states
 
 
@@ -190,7 +213,7 @@ _MESSAGE_PLANS = {name: _message_plan(tpl) for name, tpl in TEMPLATES.items()}
 
 def message_pass(
     states: list[Tensor2],
-    q: QueryGraph,
+    queries: Sequence[QueryGraph],
     ps: ParameterStore,
     layer: int,
     last: bool = False,
@@ -199,19 +222,26 @@ def message_pass(
 
     Each node combines a self-loop message with mean-normalized messages
     per (relation, direction).  The last layer stays linear so raw centers
-    and offsets can take any sign.
+    and offsets can take any sign.  States hold one row per query; the
+    queries share one template, and each row sees only its own query's
+    relations.
     """
     if not 1 <= layer <= ps.layers:
         raise ConfigurationError(f"layer {layer} outside 1..{ps.layers}")
-    relations = q.relations
+    relations = [q.relations for q in queries]
+    columns = list(zip(*relations))  # per edge slot, one relation id per query
     out: list[Tensor2] = []
-    for node, messages in enumerate(_MESSAGE_PLANS[q.template]):
+    for node, messages in enumerate(_MESSAGE_PLANS[queries[0].template]):
         acc = ad.matmul(states[node], ps.self_weight(layer))
         for src, slot, direction, peers in messages:
-            r = relations[slot]
-            count = 1 + sum(relations[p] == r for p in peers)
-            msg = ad.matmul(states[src], ps.relation_weight(layer, r, direction))
-            acc = acc + msg * (1.0 / count)
+            ids = columns[slot]
+            scale = [
+                1.0 / (1 + sum(rels[p] == rels[slot] for p in peers))
+                for rels in relations
+            ]
+            acc = acc + ad.gathered_matmul(
+                states[src], ps.relation_weights(layer, direction), ids, scale
+            )
         out.append(acc if last else ad.relu(acc))
     return out
 
@@ -222,7 +252,8 @@ def aggregate(
     q: QueryGraph,
     ps: ParameterStore,
 ) -> Tensor2:
-    """Reduce node states to one raw 2d vector."""
+    """Reduce node states to one raw 2d vector per row; ``q`` is any query
+    of the states' template."""
     if method == "sum":
         total = states[0]
         for s in states[1:]:
@@ -255,6 +286,43 @@ class QueryEncoding:
     node_states: list[np.ndarray]
 
 
+def _encode_rows(
+    queries: Sequence[QueryGraph],
+    ps: ParameterStore,
+    method: str | None,
+    steps: int | None,
+) -> tuple[Tensor2, list[Tensor2]]:
+    """Raw 2d box vectors, one row per query, and the final node states."""
+    method = method or ps.aggregation
+    if method not in AGGREGATIONS:
+        raise ConfigurationError(f"unknown aggregation: {method!r}")
+    if method == "mlp" and "mlp_w1" not in ps.tensors:
+        raise ConfigurationError("store was initialized without MLP weights")
+    first_query = queries[0]
+    if method == "tm":
+        needed = first_query.shape.diameter
+        if steps is None:
+            steps = needed
+        if steps != needed:
+            raise ConfigurationError(
+                f"tm aggregation needs exactly {needed} steps for "
+                f"{first_query.template}, got {steps}"
+            )
+    elif steps is None:
+        steps = ps.layers
+    if steps > ps.layers:
+        raise ConfigurationError(
+            f"{steps} message-passing steps requested but store has {ps.layers} layers"
+        )
+    states = node_features(queries, ps)
+    # Shallow queries run the *deepest* layers so that each layer keeps a
+    # fixed role (the final layer is always the linear read-out) no matter
+    # how many steps a particular query needs.
+    for layer in range(ps.layers - steps + 1, ps.layers + 1):
+        states = message_pass(states, queries, ps, layer, last=(layer == ps.layers))
+    return aggregate(states, method, first_query, ps), states
+
+
 def encode(
     q: QueryGraph,
     ps: ParameterStore,
@@ -267,33 +335,7 @@ def encode(
     explicit step count that disagrees is a configuration error.  Other
     aggregations run all ``ps.layers`` steps unless overridden.
     """
-    method = method or ps.aggregation
-    if method not in AGGREGATIONS:
-        raise ConfigurationError(f"unknown aggregation: {method!r}")
-    if method == "mlp" and "mlp_w1" not in ps.tensors:
-        raise ConfigurationError("store was initialized without MLP weights")
-    if method == "tm":
-        needed = q.shape.diameter
-        if steps is None:
-            steps = needed
-        if steps != needed:
-            raise ConfigurationError(
-                f"tm aggregation needs exactly {needed} steps for {q.template}, got {steps}"
-            )
-    elif steps is None:
-        steps = ps.layers
-    if steps > ps.layers:
-        raise ConfigurationError(
-            f"{steps} message-passing steps requested but store has {ps.layers} layers"
-        )
-    states = node_features(q, ps)
-    # Shallow queries run the *deepest* layers so that each layer keeps a
-    # fixed role (the final layer is always the linear read-out) no matter
-    # how many steps a particular query needs.
-    first = ps.layers - steps + 1
-    for layer in range(first, ps.layers + 1):
-        states = message_pass(states, q, ps, layer, last=(layer == ps.layers))
-    raw = aggregate(states, method, q, ps)
+    raw, states = _encode_rows([q], ps, method, steps)
     center, offset = split_raw_box(raw)
     return QueryEncoding(
         box=Box(center.data[0].copy(), offset.data[0].copy()),
@@ -301,3 +343,28 @@ def encode(
         offset=offset,
         node_states=[s.data.copy() for s in states],
     )
+
+
+def encode_many(
+    queries: Sequence[QueryGraph],
+    ps: ParameterStore,
+    method: str | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Boxes of same-template queries from one pass: B x d (centers, offsets).
+
+    Row b holds the bits of ``encode(queries[b], ps, method).box``, with
+    offsets clamped.  Nothing is recorded for backward.
+    """
+    queries = list(queries)
+    if not queries:
+        raise ValueError("encode_many needs at least one query")
+    template = queries[0].template
+    mixed = next((q.template for q in queries if q.template != template), None)
+    if mixed is not None:
+        raise ConfigurationError(
+            f"encode_many needs queries of one template, got {template} and {mixed}"
+        )
+    with ad.no_grad():
+        raw, _ = _encode_rows(queries, ps, method, None)
+        center, offset = split_raw_box(raw)
+    return center.data, offset.data

@@ -21,7 +21,7 @@ import numpy as np
 
 from .boxes import DEFAULT_ALPHA
 from .autodiff import no_grad
-from .encoder import ParameterStore, encode
+from .encoder import ParameterStore, encode, encode_many
 from .queries import TEMPLATE_NAMES, QueryInstance
 from .sampling import non_answers
 
@@ -116,16 +116,40 @@ def separation(
     return delta, np.add(offsets, q_offset, out=span)
 
 
+# The bytes of a boolean array are 0 or 1, so eight of them read as one
+# word are all True exactly when the word equals this.
+_TRUE_WORD = np.uint64(0x0101010101010101)
+
+
+def overlap_buffer(rows: int, cols: int) -> np.ndarray:
+    """A boolean work buffer for :func:`overlaps` on ``rows x cols`` inputs.
+
+    Its rows are padded with True to a whole number of 8-byte words.
+    """
+    out = np.empty((rows, -(-cols // 8) * 8), dtype=bool)
+    out[:, cols:] = True
+    return out
+
+
 def overlaps(
     delta: np.ndarray, span: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Which entity boxes overlap the query box, from :func:`separation`.
 
     Boxes are closed, so touching counts as overlap; equivalently the
-    outside distance is exactly zero.  ``out`` is a boolean work buffer
-    shaped like ``delta``.
+    outside distance is exactly zero, and a NaN never overlaps.  ``out``
+    is a buffer from :func:`overlap_buffer`.  Each row of comparisons is
+    reduced as words, ANDed together, rather than byte by byte.
     """
-    return np.less_equal(delta, span, out=out).all(axis=1)
+    rows, cols = delta.shape
+    if out is None:
+        out = overlap_buffer(rows, cols)
+    np.less_equal(delta, span, out=out[:, :cols])
+    words = out.view(np.uint64)
+    every = words[:, 0].copy()
+    for j in range(1, words.shape[1]):
+        every &= words[:, j]
+    return every == _TRUE_WORD
 
 
 def distances(
@@ -266,9 +290,10 @@ def evaluate(
     Classification scans the full entity universe per query; ranking uses
     each instance's stored negatives (uniform plus hard) unless
     ``full_ranking`` swaps in every non-answer.  Truth is the stored
-    target set, which the sampler computed on the full graph.  Queries are
-    encoded without a tape, and each takes at most one pass over the
-    entity table, shared by classification and full ranking.
+    target set, which the sampler computed on the full graph.  The queries
+    of each template are encoded together, without a tape, and each query
+    takes at most one pass over the entity table, shared by classification
+    and full ranking.
     """
     if mode not in MODES:
         raise ValueError(f"unknown evaluation mode: {mode!r}")
@@ -290,17 +315,26 @@ def evaluate(
     scan = want_cls or rank_all
     if scan:
         delta, span = np.empty_like(centers), np.empty_like(centers)
-        below = np.empty(centers.shape, dtype=bool) if want_cls else None
+        below = overlap_buffer(*centers.shape) if want_cls else None
         work = np.empty_like(centers) if rank_all else None
+    # one encode per template; the scan below keeps the instance order,
+    # so every sum is formed in the same order as one query at a time
+    by_template: dict[str, list[int]] = {}
+    for i, inst in enumerate(instances):
+        by_template.setdefault(inst.query.template, []).append(i)
+    q_centers = np.empty((len(instances), ps.dim))
+    q_offsets = np.empty((len(instances), ps.dim))
+    for members in by_template.values():
+        q_centers[members], q_offsets[members] = encode_many(
+            [instances[i].query for i in members], ps, method
+        )
 
-    for inst in instances:
+    for inst, q_center, q_offset in zip(instances, q_centers, q_offsets):
         metrics = per_template[inst.query.template]
         metrics.queries += 1
-        with no_grad():
-            box = encode(inst.query, ps, method).box
         truth = _entity_ids(inst.targets, universe)
         if scan:
-            separation(box.center, box.offset, centers, offsets, delta, span)
+            separation(q_center, q_offset, centers, offsets, delta, span)
         if want_cls:
             metrics.confusion = metrics.confusion + _count(
                 overlaps(delta, span, below), truth
@@ -317,7 +351,7 @@ def evaluate(
                 near = (
                     (delta[rows], span[rows])
                     if scan
-                    else separation(box.center, box.offset, centers[rows], offsets[rows])
+                    else separation(q_center, q_offset, centers[rows], offsets[rows])
                 )
                 listed = distances(*near, alpha)
                 pos, neg = listed[: truth.size], listed[truth.size :]

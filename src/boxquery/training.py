@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -149,6 +150,10 @@ def instance_loss(
     return loss_terms(enc.center, enc.offset, pos_c, pos_o, neg_c, neg_o, gamma, alpha)
 
 
+class NonFiniteLossError(FloatingPointError):
+    """A training step's loss is NaN or infinite; no update was applied."""
+
+
 @dataclass
 class LogRow:
     """One line of the training log; validation columns only on eval steps."""
@@ -211,7 +216,8 @@ def train(
     validation data (or no negatives in it) training simply runs to
     ``max_steps``.  ``checkpoint_path`` saves the returned parameters;
     ``resume_from`` restores parameters, optimizer, step counter, and
-    shuffle state from an earlier save.
+    shuffle state from an earlier save.  A NaN or infinite loss raises
+    :class:`NonFiniteLossError` before that step updates anything.
     """
     train_set = list(datasets.get("train", []))
     val_set = list(datasets.get("val", []))
@@ -254,10 +260,17 @@ def train(
         inst = train_set[order.pop(0)]
         step += 1
         total = instance_loss(ps, inst, cfg.aggregation, cfg.gamma, cfg.alpha)
+        train_loss = total.item()
+        if not math.isfinite(train_loss):
+            q = inst.query
+            raise NonFiniteLossError(
+                f"loss is {train_loss} at step {step} on a {q.template} query"
+                f" (anchors {q.anchors}, relations {q.relations})"
+            )
         ps.zero_grads()
         total.backward()
         adam_step(ps.parameters(), None, adam)
-        row = LogRow(step=step, train_loss=total.item())
+        row = LogRow(step=step, train_loss=train_loss)
 
         if step % cfg.eval_every == 0:
             metric, per_template = _val_metric(ps, val_set, cfg.aggregation, cfg.alpha)
@@ -321,6 +334,12 @@ def write_training_log(history: Sequence[LogRow], path: str | Path) -> Path:
 
 _MAGIC = b"BOXQCKPT"
 _VERSION = 1
+# what load_checkpoint reads from the header, and from its "adam" entry
+_HEADER_KEYS = (
+    "dim", "layers", "aggregation", "num_entities", "num_relations",
+    "num_types", "tensors", "adam", "step",
+)
+_ADAM_KEYS = ("lr", "beta1", "beta2", "eps", "t")
 
 
 class CheckpointError(RuntimeError):
@@ -395,6 +414,13 @@ def load_checkpoint(
         header = json.loads(raw[cursor : cursor + header_len].decode("utf-8"))
     except ValueError as exc:
         raise CheckpointError(f"corrupt checkpoint header in {path}") from exc
+    if not isinstance(header, dict) or not isinstance(header.get("adam", {}), dict):
+        raise CheckpointError(f"corrupt checkpoint header in {path}")
+    missing = [key for key in _HEADER_KEYS if key not in header]
+    if not missing:
+        missing = [f"adam.{key}" for key in _ADAM_KEYS if key not in header["adam"]]
+    if missing:
+        raise CheckpointError(f"checkpoint header in {path} lacks the key {missing[0]!r}")
     cursor += header_len
     if dim is not None and header["dim"] != dim:
         raise CheckpointError(
@@ -420,15 +446,18 @@ def load_checkpoint(
         stop = start + rows * cols
         tensors[name] = Tensor2(data[start:stop].reshape(rows, cols), requires_grad=True)
         start = stop
-    ps = ParameterStore(
-        dim=header["dim"],
-        layers=header["layers"],
-        aggregation=header["aggregation"],
-        num_entities=header["num_entities"],
-        num_relations=header["num_relations"],
-        num_types=header["num_types"],
-        tensors=tensors,
-    )
+    try:
+        ps = ParameterStore(
+            dim=header["dim"],
+            layers=header["layers"],
+            aggregation=header["aggregation"],
+            num_entities=header["num_entities"],
+            num_relations=header["num_relations"],
+            num_types=header["num_types"],
+            tensors=tensors,
+        )
+    except KeyError as exc:  # a relation weight the layer and relation counts call for
+        raise CheckpointError(f"checkpoint {path} lacks the tensor {exc.args[0]!r}") from exc
     meta = header["adam"]
     adam = AdamState(
         ps.parameters(),

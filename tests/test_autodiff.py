@@ -114,6 +114,16 @@ class TestBackward:
         ad.sum_all(y).backward()
         np.testing.assert_array_equal(x.grad, [[2.0]])
 
+    def test_only_leaves_keep_gradients(self):
+        x = tensor([[1.0, -2.0]], requires_grad=True)
+        w = tensor(np.eye(2), requires_grad=True)
+        hidden = relu(ad.matmul(x * 2.0, w))
+        loss = ad.sum_all(hidden)
+        loss.backward()
+        np.testing.assert_array_equal(x.grad, [[2.0, 0.0]])
+        np.testing.assert_array_equal(w.grad, [[2.0, 0.0], [-4.0, 0.0]])
+        assert hidden.grad is None and loss.grad is None
+
 
 class TestFiniteDiff:
     def test_square(self):
@@ -204,6 +214,64 @@ class TestFiniteDiff:
         sparse = grad_bytes()
         with dense_gather():
             assert grad_bytes() == sparse
+
+
+class TestRowProducts:
+    def test_matmul_rows_match_one_row_products_bitwise(self, rng):
+        # numpy's many-row product (gemm) differs from one-row products in
+        # the last bits; matmul must not
+        x = tensor(rng.normal(size=(40, 64)) * 10.0)
+        w = tensor(rng.normal(size=(64, 64)))
+        whole = ad.matmul(x, w).data
+        for i in range(x.rows):
+            assert whole[i].tobytes() == (x.data[i : i + 1] @ w.data).tobytes()
+
+    def test_gathered_one_row_is_matmul_then_scale_bitwise(self, rng):
+        x = tensor(rng.normal(size=(1, 6)), requires_grad=True)
+        ws = [tensor(rng.normal(size=(6, 6)), requires_grad=True) for _ in range(3)]
+        scale = 1.0 / 3.0
+
+        def run(f):
+            for t in (x, *ws):
+                t.grad = None
+            out = f()
+            ad.sum_all(ad.softplus(out)).backward()  # a non-uniform adjoint
+            return out.data.tobytes(), x.grad.tobytes(), ws[1].grad.tobytes()
+
+        fused = run(lambda: ad.gathered_matmul(x, ws, [1], [scale]))
+        assert ws[0].grad is None and ws[2].grad is None  # not in the graph
+        assert fused == run(lambda: ad.matmul(x, ws[1]) * scale)
+
+    def test_gathered_rows_match_one_row_products_bitwise(self, rng):
+        x = tensor(rng.normal(size=(30, 8)) * 10.0)
+        ws = [tensor(rng.normal(size=(8, 8))) for _ in range(4)]
+        idx = rng.integers(0, 3, 30)  # the last weight goes unused
+        scale = 1.0 / rng.integers(1, 4, 30)
+        out = ad.gathered_matmul(x, ws, idx, scale).data
+        for i in range(30):
+            row = (x.data[i : i + 1] @ ws[idx[i]].data) * scale[i]
+            assert out[i].tobytes() == row[0].tobytes()
+
+    def test_gathered_rows_against_finite_differences(self, rng):
+        x = tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        ws = [tensor(rng.normal(size=(4, 5)), requires_grad=True) for _ in range(3)]
+
+        def f():
+            out = ad.gathered_matmul(x, ws, [2, 0, 2], [0.5, 1.0, 1.0 / 3.0])
+            return ad.sum_all(ad.softplus(out))
+
+        assert finite_diff_check(f, [x, *ws]) < 1e-6
+        assert ws[1].grad is None  # unused, so outside the graph
+
+    def test_gathered_rejects_bad_positions_and_lengths(self):
+        x = tensor(np.ones((2, 2)))
+        ws = [tensor(np.eye(2))]
+        with pytest.raises(ValueError):
+            ad.gathered_matmul(x, ws, [0, 1], [1.0, 1.0])
+        with pytest.raises(ValueError):
+            ad.gathered_matmul(x, ws, [0], [1.0])
+        with pytest.raises(ValueError):
+            ad.gathered_matmul(x, [tensor(np.eye(3))] * 2, [0, 1], [1.0, 1.0])
 
 
 class TestShapes:

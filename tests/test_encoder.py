@@ -10,6 +10,7 @@ from boxquery.encoder import (
     ConfigurationError,
     aggregate,
     encode,
+    encode_many,
     init_parameters,
     message_pass,
     node_features,
@@ -91,12 +92,12 @@ class TestNodeFeatures:
     def test_anchor_nodes_copy_entity_rows(self, kg, store):
         alice = kg.entity_id("Alice")
         q = instantiate("1-chain", [alice], [kg.relation_id("works_on")])
-        states = node_features(q, store)
+        states = node_features([q], store)
         np.testing.assert_array_equal(states[0].data[0], store.entity_embeddings.data[alice])
 
     def test_untyped_fallback_for_variables(self, kg, store):
         q = instantiate("1-chain", [0], [0])
-        states = node_features(q, store)
+        states = node_features([q], store)
         np.testing.assert_array_equal(
             states[1].data[0], store.type_embeddings.data[kg.num_types]
         )
@@ -105,21 +106,21 @@ class TestNodeFeatures:
         person = kg.type_labels.index("person")
         topic = kg.type_labels.index("topic")
         q = instantiate("1-chain", [0], [0], var_types=[person, topic])
-        states = node_features(q, store)
+        states = node_features([q], store)
         np.testing.assert_array_equal(states[1].data[0], store.type_embeddings.data[topic])
 
 
 class TestMessagePass:
     def test_shapes_preserved(self, kg, store):
         q = instantiate("3-inter-chain", [0, 1], [0, 1, 0])
-        states = node_features(q, store)
-        out = message_pass(states, q, store, layer=1)
+        states = node_features([q], store)
+        out = message_pass(states, [q], store, layer=1)
         assert len(out) == 4
         assert all(s.shape == (1, 8) for s in out)
 
     def test_hidden_layers_are_nonnegative(self, kg, store):
         q = instantiate("2-chain", [0], [0, 1])
-        states = message_pass(node_features(q, store), q, store, layer=1)
+        states = message_pass(node_features([q], store), [q], store, layer=1)
         assert all(s.data.min() >= 0.0 for s in states)
 
     def test_last_layer_is_linear(self, kg):
@@ -127,17 +128,17 @@ class TestMessagePass:
         ps = init_parameters(kg, dim=2, layers=1, seed=0)
         ps["msg1_self"].data[:] = -np.eye(4)
         q = instantiate("1-chain", [0], [0])
-        states = node_features(q, ps)
-        out = message_pass(states, q, ps, layer=1, last=True)
+        states = node_features([q], ps)
+        out = message_pass(states, [q], ps, layer=1, last=True)
         assert out[1].data.min() < 0.0
 
     def test_layer_index_bounds(self, kg, store):
         q = instantiate("1-chain", [0], [0])
-        states = node_features(q, store)
+        states = node_features([q], store)
         with pytest.raises(ConfigurationError):
-            message_pass(states, q, store, layer=4)
+            message_pass(states, [q], store, layer=4)
         with pytest.raises(ConfigurationError):
-            message_pass(states, q, store, layer=0)
+            message_pass(states, [q], store, layer=0)
 
     def test_fan_in_messages_are_mean_normalized(self, kg):
         # two anchors sending over the same relation must average, not add:
@@ -145,8 +146,8 @@ class TestMessagePass:
         ps = init_parameters(kg, dim=3, layers=1, seed=2)
         same = instantiate("2-inter", [0, 0], [1, 1])
         single = instantiate("1-chain", [0], [1])
-        s2 = message_pass(node_features(same, ps), same, ps, 1, last=True)
-        s1 = message_pass(node_features(single, ps), single, ps, 1, last=True)
+        s2 = message_pass(node_features([same], ps), [same], ps, 1, last=True)
+        s1 = message_pass(node_features([single], ps), [single], ps, 1, last=True)
         np.testing.assert_allclose(
             s2[same.shape.target_node].data, s1[1].data, rtol=1e-12
         )
@@ -180,8 +181,8 @@ class TestMessagePass:
                 rels = [1] * tpl.num_edges if trial % 2 else rng.integers(0, 3, tpl.num_edges).tolist()
                 q = instantiate(name, rng.integers(0, 12, tpl.num_anchors).tolist(), rels)
                 for last in (False, True):
-                    states = node_features(q, ps)
-                    got = message_pass(states, q, ps, 2, last)
+                    states = node_features([q], ps)
+                    got = message_pass(states, [q], ps, 2, last)
                     want = per_call(states, q, ps, 2, last)
                     assert [t.data.tobytes() for t in got] == [t.data.tobytes() for t in want]
 
@@ -293,3 +294,51 @@ class TestGradients:
 
         err = ad.finite_diff_check(run, ps.parameters())
         assert err < 1e-4, f"{method}: max relative gradient error {err}"
+
+
+class TestEncodeMany:
+    """The batched encode against one query at a time, bit for bit."""
+
+    @staticmethod
+    def _queries(name, kg, rng, count=6):
+        """Queries of one template: the first repeats one relation id on
+        every edge (the 1/count path of intersections), half carry type
+        hints, some of them past the table's last type."""
+        tpl = TEMPLATES[name]
+        queries = []
+        for i in range(count):
+            rels = [1] * tpl.num_edges if i == 0 else rng.integers(
+                0, kg.num_relations, tpl.num_edges).tolist()
+            types = None if i % 2 else rng.integers(0, kg.num_types + 2, tpl.num_nodes).tolist()
+            anchors = rng.integers(0, kg.num_entities, tpl.num_anchors).tolist()
+            queries.append(instantiate(name, anchors, rels, var_types=types))
+        return queries
+
+    @pytest.mark.parametrize("dim", [4, 32])
+    @pytest.mark.parametrize("method", AGGREGATIONS)
+    def test_rows_match_encode_bitwise(self, method, dim):
+        kg = random_graph(np.random.default_rng(5), n_entities=30, n_relations=3,
+                          n_edges=80, n_types=2)
+        ps = init_parameters(kg, dim=dim, layers=3, seed=2, aggregation=method)
+        rng = np.random.default_rng(dim)
+        for name in TEMPLATES:
+            queries = self._queries(name, kg, rng)
+            centers, offsets = encode_many(queries, ps)
+            assert centers.shape == offsets.shape == (len(queries), dim)
+            for q, center, offset in zip(queries, centers, offsets):
+                box = encode(q, ps).box
+                assert center.tobytes() == box.center.tobytes(), (name, q)
+                assert offset.tobytes() == box.offset.tobytes(), (name, q)
+
+    def test_records_no_graph(self, kg, store):
+        queries = [instantiate("2-chain", [a], [0, 1]) for a in range(3)]
+        centers, offsets = encode_many(queries, store)
+        assert isinstance(centers, np.ndarray) and isinstance(offsets, np.ndarray)
+        assert encode(queries[0], store).center._parents  # recording again after
+
+    def test_rejects_mixed_templates_and_empty_lists(self, kg, store):
+        mixed = [instantiate("1-chain", [0], [0]), instantiate("2-chain", [0], [0, 1])]
+        with pytest.raises(ConfigurationError, match="one template"):
+            encode_many(mixed, store)
+        with pytest.raises(ValueError):
+            encode_many([], store)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from boxquery import autodiff as ad
 from boxquery.boxes import DEFAULT_ALPHA, distance_outside, random_box
-from boxquery.encoder import encode, init_parameters
+from boxquery.encoder import AGGREGATIONS, encode, init_parameters
 from boxquery.evaluation import (
     ConfusionMatrix,
     TemplateMetrics,
@@ -14,6 +15,7 @@ from boxquery.evaluation import (
     evaluate,
     _pair_wins,
     load_report,
+    overlap_buffer,
     overlaps,
     pairwise_accuracy,
     separation,
@@ -97,6 +99,35 @@ class TestOverlaps:
                 a.center, a.offset, b.center[None, :], b.offset[None, :]
             ))[0]
             assert bool(mask) == (distance_outside(a, b) == 0.0)
+
+    @pytest.mark.parametrize("width", [*range(1, 18), 32])
+    def test_word_reduction_matches_all_over_each_row(self, width):
+        # rows that overlap, touch exactly, miss in one column, or hold NaN
+        # and infinities, against the byte-by-byte reduction
+        rng = np.random.default_rng(width)
+        rows = 96
+        delta = rng.uniform(0.0, 2.0, (rows, width))
+        span = delta + rng.uniform(0.0, 1.0, (rows, width))  # every column overlaps
+        span[1::6] = delta[1::6]  # touching faces
+        miss = rng.integers(0, width, rows)
+        span[2::6, :] = delta[2::6, :]
+        span[np.arange(2, rows, 6), miss[2::6]] = np.nextafter(
+            delta[np.arange(2, rows, 6), miss[2::6]], -np.inf)
+        delta[3::12, miss[3]] = np.nan
+        span[9::12, miss[9]] = np.nan
+        delta[4::12, miss[4]] = np.inf
+        span[4::12, miss[4]] = np.inf  # inf <= inf
+        span[10::12, miss[10]] = -np.inf
+        delta[5::6, miss[5]] = np.inf  # a finite span misses it
+        want = np.less_equal(delta, span).all(axis=1)
+        assert want.any() and not want.all()
+        got = overlaps(delta, span)
+        assert got.dtype == bool and got.tobytes() == want.tobytes()
+        buffer = overlap_buffer(rows, width)
+        assert buffer.shape[1] % 8 == 0 and buffer[:, width:].all()
+        for _ in range(2):  # the buffer is reused, its padding kept
+            assert overlaps(delta, span, buffer).tobytes() == want.tobytes()
+            assert buffer[:, width:].all()
 
 
 class TestClassify:
@@ -403,17 +434,17 @@ def _touching_offset(gap: float, q_offset: float) -> float:
 
 
 class TestInferenceMatchesReference:
-    @pytest.fixture(scope="class")
-    def seven(self):
-        """A hub graph and queries of all seven templates, a model whose
-        boxes overlap some entities and not others, and two entity boxes
-        next to the first query's box: one touching it exactly on a face,
-        one a float step short of it."""
+    @pytest.fixture(scope="class", params=AGGREGATIONS)
+    def seven(self, request):
+        """A hub graph and queries of all seven templates, a model of each
+        aggregation at dim 4 (so the overlap words are padded), and two
+        entity boxes next to the first query's box: one touching it exactly
+        on a face, one a float step short of it."""
         hub = hub_graph(np.random.default_rng(3), n_entities=300, n_relations=4)
         split = split_edges(hub, 0.10, seed=1)
         cfg = SamplerConfig(quotas={name: 6 for name in TEMPLATE_NAMES}, seed=1)
         instances, _ = generate_datasets(hub, split, cfg)
-        ps = init_parameters(hub, dim=4, layers=3, seed=0, aggregation="tm")
+        ps = init_parameters(hub, dim=4, layers=3, seed=0, aggregation=request.param)
         q = instances[0].query
         box = encode(q, ps).box
         touch, short = [e for e in range(hub.num_entities) if e not in q.anchors][:2]
@@ -421,10 +452,12 @@ class TestInferenceMatchesReference:
         for e in (touch, short):
             table[e, :4] = box.center
             table[e, 4:] = 1e6  # overlap in every other dimension
-            table[e, 0] = box.center[0] + 3.0
+            table[e, 0] = box.center[0] + box.offset[0] + 3.0  # clear of the box
         gap = abs(table[touch, 0] - box.center[0])
         table[touch, 4] = _touching_offset(gap, box.offset[0])
-        table[short, 4] = np.nextafter(table[touch, 4], -np.inf)
+        table[short, 4] = table[touch, 4]
+        while table[short, 4] + box.offset[0] == gap:  # the sum a float step short
+            table[short, 4] = np.nextafter(table[short, 4], -np.inf)
         again = encode(q, ps).box  # the edited rows are not the query's anchors
         assert (again.center.tobytes(), again.offset.tobytes()) == (
             box.center.tobytes(), box.offset.tobytes())
@@ -451,17 +484,28 @@ class TestInferenceMatchesReference:
 
     def test_encode_leaves_no_tape_during_evaluation(self, seven, monkeypatch):
         _, instances, ps, _, _ = seven
-        seen = []
+        made, batches = [], []
+        result = ad.Tensor2._result
+        encode_many = evaluate.__globals__["encode_many"]
 
-        def spy(q, store, method=None):
-            enc = encode(q, store, method)
-            seen.append(enc.center._parents or enc.offset._parents)
-            return enc
+        def spy_result(data, parents, vjp):
+            out = result(data, parents, vjp)
+            made.append(out._parents)
+            return out
 
-        monkeypatch.setattr("boxquery.evaluation.encode", spy)
-        evaluate(ps, instances[:5], mode="both")
+        def spy_encode_many(queries, store, method=None):
+            batches.append([q.template for q in queries])
+            return encode_many(queries, store, method)
+
+        monkeypatch.setattr(ad.Tensor2, "_result", staticmethod(spy_result))
+        monkeypatch.setattr("boxquery.evaluation.encode_many", spy_encode_many)
+        evaluate(ps, instances[:9], mode="both")
         classify(ps, instances[0].query)
-        assert seen and not any(seen)
+        assert made and not any(made)
+        # one encode per template, its queries in instance order
+        templates = [inst.query.template for inst in instances[:9]]
+        assert sorted(b[0] for b in batches) == sorted(set(templates))
+        assert [t for b in batches for t in b] == sorted(templates, key=templates.index)
         assert encode(instances[0].query, ps).center._parents  # a tape outside
 
     @pytest.mark.parametrize("mode", ["classification", "ranking", "both"])

@@ -1,5 +1,6 @@
 """Tests for the loss, the training loop, and checkpointing."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -12,9 +13,11 @@ from boxquery.encoder import AGGREGATIONS, init_parameters
 from boxquery.queries import QueryInstance, execute, instantiate
 from boxquery.sampling import SamplerConfig, generate_datasets, split_edges
 from boxquery.synthetic import clustered_graph, toy_collaboration_graph
+from boxquery import training
 from boxquery.training import (
     CheckpointError,
     LogRow,
+    NonFiniteLossError,
     TrainConfig,
     instance_loss,
     load_checkpoint,
@@ -169,6 +172,27 @@ class TestTrainLoop:
         assert result.steps == 200
         assert result.history[-1].train_loss < result.history[0].train_loss
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_loss_stops_before_the_update(self, kg, toy_datasets, monkeypatch, bad):
+        calls = {"loss": 0, "adam": 0}
+        real_loss, real_adam = training.instance_loss, training.adam_step
+
+        def poisoned_loss(*args):
+            calls["loss"] += 1
+            total = real_loss(*args)
+            return total * bad if calls["loss"] == 3 else total
+
+        def counted_adam(*args):
+            calls["adam"] += 1
+            return real_adam(*args)
+
+        monkeypatch.setattr(training, "instance_loss", poisoned_loss)
+        monkeypatch.setattr(training, "adam_step", counted_adam)
+        cfg = TrainConfig(max_steps=10, eval_every=100, dim=3, layers=2, seed=0)
+        with pytest.raises(NonFiniteLossError, match=r"at step 3 on a (1-chain|2-inter) query"):
+            train(kg, toy_datasets, cfg)
+        assert calls == {"loss": 3, "adam": 2}
+
     def test_constant_metric_stops_after_patience(self, kg, toy_datasets, monkeypatch):
         monkeypatch.setattr(
             "boxquery.training._val_metric", lambda *a, **k: (50.0, None)
@@ -295,6 +319,36 @@ class TestCheckpoints:
         path = save_checkpoint(ps, adam, tmp_path / "m.ckpt")
         with pytest.raises(CheckpointError, match="aggregation"):
             load_checkpoint(path, aggregation="tm")
+
+    @pytest.mark.parametrize("key", ["dim", "tensors", "adam", "step", "adam.t"])
+    def test_header_without_a_key_names_it(self, kg, tmp_path, key):
+        ps, adam = self._store_and_adam(kg)
+        raw = save_checkpoint(ps, adam, tmp_path / "k.ckpt").read_bytes()
+        length = int.from_bytes(raw[12:20], "little")  # after magic and version
+        header = json.loads(raw[20 : 20 + length])
+        if "." in key:
+            outer, inner = key.split(".")
+            del header[outer][inner]
+        else:
+            del header[key]
+        blob = json.dumps(header).encode()
+        path = tmp_path / "lacking.ckpt"
+        path.write_bytes(raw[:12] + len(blob).to_bytes(8, "little") + blob + raw[20 + length :])
+        with pytest.raises(CheckpointError, match=repr(key)):
+            load_checkpoint(path)
+
+    def test_missing_relation_tensor_is_named(self, kg, tmp_path):
+        ps, adam = self._store_and_adam(kg)
+        raw = save_checkpoint(ps, adam, tmp_path / "r.ckpt").read_bytes()
+        length = int.from_bytes(raw[12:20], "little")
+        header = json.loads(raw[20 : 20 + length])
+        index = [name for name, _, _ in header["tensors"]].index("msg1_rel0_fwd")
+        header["tensors"][index][0] = "renamed"
+        blob = json.dumps(header).encode()
+        path = tmp_path / "renamed.ckpt"
+        path.write_bytes(raw[:12] + len(blob).to_bytes(8, "little") + blob + raw[20 + length :])
+        with pytest.raises(CheckpointError, match="'msg1_rel0_fwd'"):
+            load_checkpoint(path)
 
     def test_rejects_truncated_file(self, kg, tmp_path):
         ps, adam = self._store_and_adam(kg)
