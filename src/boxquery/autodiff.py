@@ -21,6 +21,11 @@ meets a dense adjoint or flows into an operation's own adjoint.  Sums
 are formed in the order a dense ``np.add.at`` into zeros would form
 them, so both forms give the same bits.
 
+Every tensor marks the rows of ``.grad`` that may be nonzero
+(``grad_rows``): a row-sparse adjoint marks its rows, any other write
+marks :data:`ANY_ROW`.  :meth:`Tensor2.zero_grad` zeroes only the marked
+rows, and :func:`adam_step` skips the gradient terms of unmarked rows.
+
 Parameters can be packed (:func:`pack_tensors`): their data and gradients
 become views into two flat buffers, which lets :func:`adam_step` update
 every parameter in one pass.
@@ -58,24 +63,47 @@ def no_grad():
         _recording = previous
 
 
-class Tensor2:
-    """A rows x cols float64 array with an optional gradient buffer."""
+# The mark of a gradient buffer whose every row may be nonzero
+ANY_ROW = slice(None)
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+
+class Tensor2:
+    """A rows x cols float64 array with an optional gradient buffer.
+
+    ``grad_rows`` marks which rows of ``.grad`` may be nonzero: None for
+    none, a list of row-index arrays, or :data:`ANY_ROW`.  ``backward``
+    adds the rows it writes, and assigning ``.grad`` marks every row.
+    Code that writes into ``.grad`` in place outside ``backward`` must set
+    ``grad_rows = ANY_ROW``: :meth:`zero_grad` clears only marked rows, and
+    :func:`adam_step` treats unmarked rows as zero gradients.
+    """
+
+    __slots__ = ("data", "_grad", "grad_rows", "requires_grad", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim == 0:
-            arr = arr.reshape(1, 1)
-        elif arr.ndim == 1:
-            arr = arr.reshape(1, -1)
-        elif arr.ndim != 2:
-            raise ValueError(f"Tensor2 is strictly 2-D, got shape {arr.shape}")
+        if arr.ndim != 2:
+            if arr.ndim == 0:
+                arr = arr.reshape(1, 1)
+            elif arr.ndim == 1:
+                arr = arr.reshape(1, -1)
+            else:
+                raise ValueError(f"Tensor2 is strictly 2-D, got shape {arr.shape}")
         self.data = arr
-        self.grad: np.ndarray | None = None
+        self._grad: np.ndarray | None = None
+        self.grad_rows: list[np.ndarray] | slice | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor2, ...] = ()
         self._vjp = None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self._grad = value
+        self.grad_rows = ANY_ROW
 
     # -- basic introspection -------------------------------------------------
 
@@ -100,8 +128,15 @@ class Tensor2:
         return f"Tensor2({self.data!r}, requires_grad={self.requires_grad})"
 
     def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad.fill(0.0)
+        """Zero the marked rows of ``.grad``, then clear the mark."""
+        rows, grad = self.grad_rows, self._grad
+        if grad is not None and rows is not None:
+            if rows is ANY_ROW:
+                grad.fill(0.0)
+            else:
+                for r in rows:
+                    grad[r] = 0.0
+        self.grad_rows = None
 
     # -- graph construction --------------------------------------------------
 
@@ -119,7 +154,9 @@ class Tensor2:
 
         Only defined for 1x1 outputs (losses).  Leaves are the tensors that
         no operation made; intermediate results get no ``.grad``, and each
-        intermediate adjoint is dropped once its vjp has run.
+        intermediate adjoint is dropped once its vjp has run.  A leaf's
+        ``grad_rows`` gains the rows a row-sparse adjoint wrote, or becomes
+        :data:`ANY_ROW` when a dense one did.
         """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar (1x1) tensor")
@@ -146,14 +183,21 @@ class Tensor2:
                 continue
             if node._vjp is None:
                 if isinstance(g, RowSparse):
-                    if node.grad is None:
-                        node.grad = np.zeros_like(node.data)
+                    if node._grad is None:
+                        node._grad = np.zeros_like(node.data)
+                        node.grad_rows = None
                     rows, sums = g.summed()
-                    node.grad[rows] += sums
-                elif node.grad is None:
+                    node._grad[rows] += sums
+                    marked = node.grad_rows
+                    if marked is None:
+                        node.grad_rows = [rows]
+                    elif marked is not ANY_ROW:
+                        marked.append(rows)
+                elif node._grad is None:
                     node.grad = g + 0.0  # the bits of zeros + g, without the zeros
                 else:
-                    node.grad += g
+                    node._grad += g
+                    node.grad_rows = ANY_ROW
                 continue
             if isinstance(g, RowSparse):
                 g = g.dense()
@@ -547,6 +591,14 @@ class AdamState:
         self.v_flat = np.zeros_like(self._data)
         self.m = _views(self.m_flat, params)
         self.v = _views(self.v_flat, params)
+        self._spans = []  # (start, stop) of each tensor in the flat buffers
+        start = 0
+        for p in params:
+            self._spans.append((start, start + p.data.size))
+            start += p.data.size
+        # per tensor, whether its moments were seen nonzero; only tensors
+        # not seen so are checked again, and a stale True costs time only
+        self._moving = [False] * len(params)
         self._scratch = np.empty((2, min(_ADAM_CHUNK, self._data.size)))
 
 
@@ -570,14 +622,63 @@ def _flat_grads(params: list[Tensor2], grads, state: AdamState) -> np.ndarray:
     return flat
 
 
+def _adam_update(data, m, v, g, a, b, coefs) -> None:
+    """One Adam update of equal-shaped arrays in place, using scratch ``a``
+    and ``b``.  ``g`` None is the gradient-free form, which leaves out the
+    two additions of gradient terms."""
+    b1, b2, c1, c2, lr, eps = coefs
+    m *= b1
+    if g is not None:
+        np.multiply(g, 1 - b1, out=a)
+        m += a  # m*b1 + (1-b1)*g
+    v *= b2
+    if g is not None:
+        np.multiply(g, 1 - b2, out=a)
+        a *= g
+        v += a  # v*b2 + ((1-b2)*g)*g
+    np.divide(v, c2, out=a)
+    np.sqrt(a, out=a)
+    a += eps  # sqrt(v/c2) + eps
+    np.divide(m, c1, out=b)
+    b *= lr
+    b /= a  # (lr*(m/c1)) / denom
+    data -= b
+
+
 def adam_step(params, grads, state: AdamState) -> None:
     """One bias-corrected Adam update, in place on ``p.data``.
 
     ``params`` are the tensors ``state`` was built from.  ``grads`` may be
     None to read each parameter's ``.grad`` buffer (missing buffers count
-    as zero gradients).  The update is one pass over the packed buffers,
-    a chunk at a time; every element sees the same operations in the same
-    order as the textbook per-tensor form, so results match it bit for bit.
+    as zero gradients).  Every element sees the same operations in the
+    same order as the textbook per-tensor form, or operations that give
+    the same bits, so results match it bit for bit.
+
+    When the gradients are the packed buffer, their row marks (see
+    :class:`Tensor2`) select one of three updates per tensor, in one pass
+    over the packed buffers, a chunk at a time:
+
+    - every row marked: the full update;
+    - no row marked: the gradient-free update, without the two additions
+      of ``(1-b1)*g`` and ``((1-b2)*g)*g``; a tensor whose moments are all
+      zero is left as it is;
+    - some rows marked: those rows are gathered and take the full update,
+      the rest of the table the gradient-free one.
+
+    Gradients held elsewhere (explicit ``grads`` arrays, or a ``.grad``
+    assigned since packing) count as every row marked.  Why the shortcuts are
+    exact, for ``0.5 < beta1 < 1``, ``0 <= beta2 < 1``, ``lr >= 0`` and
+    ``eps > 0`` (outside that range every tensor takes the full update):
+
+    - ``m`` and ``v`` start at +0.0, and ``x + y`` is -0.0 only when both
+      are, so the full update never makes a moment -0.0.  Nor does the
+      gradient-free one: ``m*b1`` is -0.0 only for ``m`` -0.0, since with
+      ``b1 > 0.5`` no nonzero product rounds to zero, and ``v >= 0``.
+    - So ``m*b1 + (+-0.0)`` equals ``m*b1``, and ``v*b2 + (+0.0)``
+      (``((1-b2)*g)*g`` is +0.0 for ``g`` = +-0.0) equals ``v*b2``, bit
+      for bit; NaN stays NaN.
+    - With ``m = v = g = 0`` the update subtracts +0.0, which leaves every
+      value unchanged, -0.0 included, and the moments stay +0.0.
     """
     params = list(params)
     if len(params) != len(state.m) or any(
@@ -587,26 +688,49 @@ def adam_step(params, grads, state: AdamState) -> None:
     grad = _flat_grads(params, grads, state)
     state.t += 1
     b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
-    c1, c2 = 1 - b1**state.t, 1 - b2**state.t
+    coefs = (b1, b2, 1 - b1**state.t, 1 - b2**state.t, lr, eps)
+    # only the packed buffer carries row marks
+    use_marks = grad is state._grad and 0.5 < b1 < 1 and 0 <= b2 < 1 and lr >= 0 and eps > 0
     data, m_all, v_all = state._data, state.m_flat, state.v_flat
-    for start in range(0, data.size, _ADAM_CHUNK):
-        stop = min(start + _ADAM_CHUNK, data.size)
-        g, m, v = grad[start:stop], m_all[start:stop], v_all[start:stop]
-        a, b = state._scratch[:, : stop - start]
-        m *= b1
-        np.multiply(g, 1 - b1, out=a)
-        m += a  # m*b1 + (1-b1)*g
-        v *= b2
-        np.multiply(g, 1 - b2, out=a)
-        a *= g
-        v += a  # v*b2 + ((1-b2)*g)*g
-        np.divide(v, c2, out=a)
-        np.sqrt(a, out=a)
-        a += eps  # sqrt(v/c2) + eps
-        np.divide(m, c1, out=b)
-        b *= lr
-        b /= a  # (lr*(m/c1)) / denom
-        data[start:stop] -= b
+
+    # runs of consecutive tensors that take the same update:
+    # [start, stop, gradient or None]
+    runs: list[list] = []
+    patches = []  # gathered rows that take the full update
+    for i, (p, (start, stop)) in enumerate(zip(params, state._spans)):
+        rows = p.grad_rows if use_marks else ANY_ROW
+        if rows is ANY_ROW:
+            g = grad
+        else:
+            if rows:
+                rows = rows[0] if len(rows) == 1 else np.unique(np.concatenate(rows))
+                views = (p.data, state.m[i], state.v[i])
+                copies = [view[rows] for view in views]
+                g_rows = state._grad_views[i][rows]
+                _adam_update(*copies, g_rows, np.empty_like(g_rows),
+                             np.empty_like(g_rows), coefs)
+                patches.append((rows, views, copies))
+            if not state._moving[i]:
+                state._moving[i] = bool(state.m[i].any() or state.v[i].any())
+                if not state._moving[i]:
+                    continue  # unchanged by the update
+            g = None
+        if runs and runs[-1][1] == start and runs[-1][2] is g:
+            runs[-1][1] = stop
+        else:
+            runs.append([start, stop, g])
+
+    for begin, end, g in runs:
+        for start in range(begin, end, _ADAM_CHUNK):
+            stop = min(start + _ADAM_CHUNK, end)
+            a, b = state._scratch[:, : stop - start]
+            _adam_update(
+                data[start:stop], m_all[start:stop], v_all[start:stop],
+                None if g is None else g[start:stop], a, b, coefs,
+            )
+    for rows, views, copies in patches:
+        for view, copy in zip(views, copies):
+            view[rows] = copy
 
 
 # -- gradient verification ---------------------------------------------------

@@ -110,7 +110,9 @@ class ParameterStore:
         return materialize(row[: self.dim], row[self.dim :])
 
     def zero_grads(self) -> None:
-        self.grad.fill(0.0)
+        """Zero the gradient rows that each tensor marks (see :class:`Tensor2`)."""
+        for p in self.tensors.values():
+            p.zero_grad()
 
 
 def init_parameters(
@@ -210,10 +212,35 @@ def _message_plan(tpl: QueryTemplate) -> tuple[tuple[_Message, ...], ...]:
 
 _MESSAGE_PLANS = {name: _message_plan(tpl) for name, tpl in TEMPLATES.items()}
 
+# The messages of same-template queries, per node: (source node, direction,
+# one relation id per query, one 1/count per query).
+QueryMessages = list[list[tuple[int, str, Sequence[int], Sequence[float]]]]
+
+
+def query_messages(queries: Sequence[QueryGraph]) -> QueryMessages:
+    """Per node, the incoming messages of same-template queries, with each
+    query's relation ids and mean scales; every layer reuses them."""
+    relations = [q.relations for q in queries]
+    columns = list(zip(*relations))  # per edge slot, one relation id per query
+    ones = [1.0] * len(queries)
+    plan: QueryMessages = []
+    for messages in _MESSAGE_PLANS[queries[0].template]:
+        incoming = []
+        for src, slot, direction, peers in messages:
+            scale = ones
+            if peers:
+                scale = [
+                    1.0 / (1 + sum(rels[p] == rels[slot] for p in peers))
+                    for rels in relations
+                ]
+            incoming.append((src, direction, columns[slot], scale))
+        plan.append(incoming)
+    return plan
+
 
 def message_pass(
     states: list[Tensor2],
-    queries: Sequence[QueryGraph],
+    messages: QueryMessages,
     ps: ParameterStore,
     layer: int,
     last: bool = False,
@@ -222,23 +249,16 @@ def message_pass(
 
     Each node combines a self-loop message with mean-normalized messages
     per (relation, direction).  The last layer stays linear so raw centers
-    and offsets can take any sign.  States hold one row per query; the
-    queries share one template, and each row sees only its own query's
-    relations.
+    and offsets can take any sign.  States hold one row per query, and
+    ``messages`` (from :func:`query_messages`) give each row its own
+    query's relations.
     """
     if not 1 <= layer <= ps.layers:
         raise ConfigurationError(f"layer {layer} outside 1..{ps.layers}")
-    relations = [q.relations for q in queries]
-    columns = list(zip(*relations))  # per edge slot, one relation id per query
     out: list[Tensor2] = []
-    for node, messages in enumerate(_MESSAGE_PLANS[queries[0].template]):
+    for node, incoming in enumerate(messages):
         acc = ad.matmul(states[node], ps.self_weight(layer))
-        for src, slot, direction, peers in messages:
-            ids = columns[slot]
-            scale = [
-                1.0 / (1 + sum(rels[p] == rels[slot] for p in peers))
-                for rels in relations
-            ]
+        for src, direction, ids, scale in incoming:
             acc = acc + ad.gathered_matmul(
                 states[src], ps.relation_weights(layer, direction), ids, scale
             )
@@ -315,11 +335,12 @@ def _encode_rows(
             f"{steps} message-passing steps requested but store has {ps.layers} layers"
         )
     states = node_features(queries, ps)
+    messages = query_messages(queries)
     # Shallow queries run the *deepest* layers so that each layer keeps a
     # fixed role (the final layer is always the linear read-out) no matter
     # how many steps a particular query needs.
     for layer in range(ps.layers - steps + 1, ps.layers + 1):
-        states = message_pass(states, queries, ps, layer, last=(layer == ps.layers))
+        states = message_pass(states, messages, ps, layer, last=(layer == ps.layers))
     return aggregate(states, method, first_query, ps), states
 
 

@@ -216,7 +216,10 @@ def train(
     validation data (or no negatives in it) training simply runs to
     ``max_steps``.  ``checkpoint_path`` saves the returned parameters;
     ``resume_from`` restores parameters, optimizer, step counter, and
-    shuffle state from an earlier save.  A NaN or infinite loss raises
+    shuffle state from an earlier save; a checkpoint whose entity,
+    relation or type counts differ from ``kg``, or whose ``layers`` or
+    Adam ``lr`` differ from ``cfg``, raises :class:`CheckpointError`
+    naming the field.  A NaN or infinite loss raises
     :class:`NonFiniteLossError` before that step updates anything.
     """
     train_set = list(datasets.get("train", []))
@@ -231,6 +234,17 @@ def train(
         ps, adam, start_step, rng_state = load_checkpoint(
             resume_from, dim=cfg.dim, aggregation=cfg.aggregation
         )
+        for name, saved, expected in (
+            ("num_entities", ps.num_entities, kg.num_entities),
+            ("num_relations", ps.num_relations, kg.num_relations),
+            ("num_types", ps.num_types, kg.num_types),
+            ("layers", ps.layers, cfg.layers),
+            ("lr", adam.lr, cfg.lr),
+        ):
+            if saved != expected:
+                raise CheckpointError(
+                    f"checkpoint {resume_from} has {name} {saved!r}, expected {expected!r}"
+                )
         rng = np.random.default_rng(
             np.random.SeedSequence([cfg.seed, _SHUFFLE_STREAM])
         )

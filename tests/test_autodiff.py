@@ -94,6 +94,93 @@ class TestAdam:
             adam_step([p], [np.zeros((2, 2))], state)
 
 
+class TestTouchedRowAdam:
+    """Unmarked rows and tensors take shortcuts that keep every bit."""
+
+    @staticmethod
+    def _sides(beta1=0.9):
+        """Two equal (params, state) pairs after one step with gradients
+        everywhere but in the second, dead tensor."""
+        rng = np.random.default_rng(5)
+        table = rng.normal(size=(5, 3))
+        table[0, 0] = table[3, 1] = -0.0
+        dead = rng.normal(size=(2, 3))
+        dead[1, 2] = -0.0
+        weight = rng.normal(size=(3, 3))
+        first = [rng.normal(size=(5, 3)), np.zeros((2, 3)), rng.normal(size=(3, 3))]
+        first[0][0, 0] = first[0][3, 1] = 0.0  # -0.0 parameters with zero moments
+        sides = []
+        for _ in range(2):
+            params = [tensor(a.copy(), requires_grad=True) for a in (table, dead, weight)]
+            state = AdamState(params, lr=0.1, beta1=beta1)
+            adam_step(params, first, state)
+            sides.append((params, state))
+        return sides
+
+    @staticmethod
+    def _bits(state):
+        return state._data.tobytes(), state.m_flat.tobytes(), state.v_flat.tobytes()
+
+    def test_negative_zero_gradients_match_unmarked_rows_bitwise(self):
+        (full, full_state), (marked, marked_state) = self._sides()
+        grads = [np.full(p.shape, -0.0) for p in full]
+        grads[0][2] = [0.5, -0.25, 1.0]
+        adam_step(full, grads, full_state)
+
+        for p in marked:
+            p.zero_grad()
+        marked[0].grad[2] = grads[0][2]
+        marked[0].grad_rows = [np.array([2])]
+        marked[0].grad[4] = -0.0  # a zero gradient needs no mark, whatever its sign
+        adam_step(marked, None, marked_state)
+
+        assert self._bits(marked_state) == self._bits(full_state)
+        assert marked_state._moving == [True, False, True]
+        assert all(np.signbit([marked[0].data[0, 0], marked[0].data[3, 1], marked[1].data[1, 2]]))
+
+    def test_small_beta1_takes_the_full_update(self):
+        # with beta1 = 0 a negative first moment times beta1 is -0.0, which
+        # only adding the zero gradient turns into +0.0
+        (full, full_state), (marked, marked_state) = self._sides(beta1=0.0)
+        adam_step(full, [np.zeros(p.shape) for p in full], full_state)
+        for p in marked:
+            p.zero_grad()
+        adam_step(marked, None, marked_state)
+        assert self._bits(marked_state) == self._bits(full_state)
+        assert not np.signbit(marked_state.m_flat).any()
+
+
+class TestRowMarks:
+    def test_backward_marks_rows_and_zero_grad_clears_them(self):
+        x = tensor(np.arange(12.0).reshape(6, 2), requires_grad=True)
+        ad.sum_all(ad.gather_rows(x, [4, 1, 4])).backward()
+        assert [r.tolist() for r in x.grad_rows] == [[1, 4]]
+        ad.sum_all(ad.gather_rows(x, [-1])).backward()  # wraps to row 5
+        assert [r.tolist() for r in x.grad_rows] == [[1, 4], [5]]
+        x.zero_grad()
+        assert x.grad_rows is None and x.grad.tobytes() == bytes(x.grad.nbytes)
+        ad.sum_all(x * 2.0).backward()
+        assert x.grad_rows is ad.ANY_ROW
+        ad.sum_all(ad.gather_rows(x, [0])).backward()
+        assert x.grad_rows is ad.ANY_ROW
+        x.zero_grad()
+        assert x.grad_rows is None and x.grad.tobytes() == bytes(x.grad.nbytes)
+
+    def test_zero_grad_clears_only_marked_rows(self):
+        x = tensor(np.zeros((3, 2)), requires_grad=True)
+        ad.sum_all(ad.gather_rows(x, [0])).backward()
+        x.grad[2] = 7.0  # in place and unmarked, against the contract
+        x.zero_grad()
+        np.testing.assert_array_equal(x.grad, [[0, 0], [0, 0], [7, 7]])
+
+    def test_assigning_grad_marks_every_row(self):
+        x = tensor(np.zeros((3, 2)), requires_grad=True)
+        x.grad = np.ones((3, 2))
+        assert x.grad_rows is ad.ANY_ROW
+        x.zero_grad()
+        assert x.grad_rows is None and not x.grad.any()
+
+
 class TestBackward:
     def test_accumulation_doubles(self):
         x = tensor([[1.0, -2.0]], requires_grad=True)

@@ -14,6 +14,7 @@ from boxquery.encoder import (
     init_parameters,
     message_pass,
     node_features,
+    query_messages,
 )
 from boxquery.queries import TEMPLATES, instantiate
 from boxquery.synthetic import random_graph, toy_collaboration_graph
@@ -114,13 +115,13 @@ class TestMessagePass:
     def test_shapes_preserved(self, kg, store):
         q = instantiate("3-inter-chain", [0, 1], [0, 1, 0])
         states = node_features([q], store)
-        out = message_pass(states, [q], store, layer=1)
+        out = message_pass(states, query_messages([q]), store, layer=1)
         assert len(out) == 4
         assert all(s.shape == (1, 8) for s in out)
 
     def test_hidden_layers_are_nonnegative(self, kg, store):
         q = instantiate("2-chain", [0], [0, 1])
-        states = message_pass(node_features([q], store), [q], store, layer=1)
+        states = message_pass(node_features([q], store), query_messages([q]), store, layer=1)
         assert all(s.data.min() >= 0.0 for s in states)
 
     def test_last_layer_is_linear(self, kg):
@@ -129,16 +130,16 @@ class TestMessagePass:
         ps["msg1_self"].data[:] = -np.eye(4)
         q = instantiate("1-chain", [0], [0])
         states = node_features([q], ps)
-        out = message_pass(states, [q], ps, layer=1, last=True)
+        out = message_pass(states, query_messages([q]), ps, layer=1, last=True)
         assert out[1].data.min() < 0.0
 
     def test_layer_index_bounds(self, kg, store):
         q = instantiate("1-chain", [0], [0])
         states = node_features([q], store)
         with pytest.raises(ConfigurationError):
-            message_pass(states, [q], store, layer=4)
+            message_pass(states, query_messages([q]), store, layer=4)
         with pytest.raises(ConfigurationError):
-            message_pass(states, [q], store, layer=0)
+            message_pass(states, query_messages([q]), store, layer=0)
 
     def test_fan_in_messages_are_mean_normalized(self, kg):
         # two anchors sending over the same relation must average, not add:
@@ -146,8 +147,8 @@ class TestMessagePass:
         ps = init_parameters(kg, dim=3, layers=1, seed=2)
         same = instantiate("2-inter", [0, 0], [1, 1])
         single = instantiate("1-chain", [0], [1])
-        s2 = message_pass(node_features([same], ps), [same], ps, 1, last=True)
-        s1 = message_pass(node_features([single], ps), [single], ps, 1, last=True)
+        s2 = message_pass(node_features([same], ps), query_messages([same]), ps, 1, last=True)
+        s1 = message_pass(node_features([single], ps), query_messages([single]), ps, 1, last=True)
         np.testing.assert_allclose(
             s2[same.shape.target_node].data, s1[1].data, rtol=1e-12
         )
@@ -182,7 +183,7 @@ class TestMessagePass:
                 q = instantiate(name, rng.integers(0, 12, tpl.num_anchors).tolist(), rels)
                 for last in (False, True):
                     states = node_features([q], ps)
-                    got = message_pass(states, [q], ps, 2, last)
+                    got = message_pass(states, query_messages([q]), ps, 2, last)
                     want = per_call(states, q, ps, 2, last)
                     assert [t.data.tobytes() for t in got] == [t.data.tobytes() for t in want]
 

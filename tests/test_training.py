@@ -350,6 +350,30 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match="'msg1_rel0_fwd'"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "field", ["num_entities", "num_relations", "num_types", "layers", "lr"]
+    )
+    def test_resume_rejects_a_mismatch_naming_the_field(self, kg, tmp_path, field):
+        q = instantiate("1-chain", [kg.entity_id("Alice")], [kg.relation_id("works_on")])
+        insts = [QueryInstance(q, execute(kg, q), (kg.entity_id("P3"),), (), "train")]
+        cfg = TrainConfig(max_steps=2, eval_every=1000, dim=2, layers=1, seed=6)
+        ckpt = tmp_path / "saved.ckpt"
+        train(kg, {"train": insts}, cfg, checkpoint_path=ckpt)
+        other_kg, other_cfg = kg, replace(cfg, max_steps=4)
+        if field == "num_entities":
+            other_kg = replace(kg, entity_labels=kg.entity_labels + ("Carol",),
+                               entity_types=kg.entity_types + (kg.untyped_type_id,))
+        elif field == "num_relations":
+            other_kg = replace(kg, relation_labels=kg.relation_labels + ("cites",))
+        elif field == "num_types":
+            other_kg = replace(kg, type_labels=kg.type_labels + ("venue",))
+        elif field == "layers":
+            other_cfg = replace(other_cfg, layers=2)
+        else:
+            other_cfg = replace(other_cfg, lr=0.02)
+        with pytest.raises(CheckpointError, match=field):
+            train(other_kg, {"train": insts}, other_cfg, resume_from=ckpt)
+
     def test_rejects_truncated_file(self, kg, tmp_path):
         ps, adam = self._store_and_adam(kg)
         path = save_checkpoint(ps, adam, tmp_path / "t.ckpt")
@@ -452,6 +476,53 @@ class TestPackedTrainingStep:
             assert ps[name].data.tobytes() == ref[name].data.tobytes(), name
             assert adam.m[i].tobytes() == m[i].tobytes(), name
             assert adam.v[i].tobytes() == v[i].tobytes(), name
+
+    def test_explicit_grads_match_the_packed_path_bitwise(self, packed_case):
+        kg, steps = packed_case
+        ps = self._store(kg)
+        adam = self._train(ps, steps)
+        ref = self._store(kg)
+        ref_adam = AdamState(ref.parameters(), lr=self.LR)
+        for inst in steps:
+            total = instance_loss(ref, inst, "tm")
+            ref.zero_grads()
+            total.backward()
+            grads = [p.grad.copy() for p in ref.parameters()]
+            adam_step(ref.parameters(), grads, ref_adam)
+        assert ps.data.tobytes() == ref.data.tobytes()
+        assert adam.m_flat.tobytes() == ref_adam.m_flat.tobytes()
+        assert adam.v_flat.tobytes() == ref_adam.v_flat.tobytes()
+
+    def test_zero_grads_clears_dense_and_row_sparse_gradients(self, packed_case):
+        kg, steps = packed_case
+        ps = self._store(kg)
+        ps.zero_grads()
+        for inst in steps[:3]:  # row-sparse tables, dense weights
+            instance_loss(ps, inst, "tm").backward()
+        ad.sum_all(ps.type_embeddings * 1.0).backward()  # a dense table adjoint
+        marks = [p.grad_rows for p in ps.parameters()]
+        assert isinstance(marks[0], list) and len(marks[0]) == 3
+        assert marks[1] is ad.ANY_ROW and None in marks
+        assert ps.grad.any()
+        ps.zero_grads()
+        assert ps.grad.tobytes() == bytes(ps.grad.nbytes)
+        assert all(p.grad_rows is None for p in ps.parameters())
+
+    def test_resume_mid_run_is_bitwise(self, packed_case, tmp_path):
+        kg, steps = packed_case
+        datasets = {"train": steps}
+        cfg = TrainConfig(aggregation="tm", dim=6, layers=2, seed=4, lr=self.LR,
+                          max_steps=2 * len(steps), eval_every=10**6)
+        whole = tmp_path / "whole.ckpt"
+        train(kg, datasets, cfg, checkpoint_path=whole)
+        half = tmp_path / "half.ckpt"  # an epoch boundary
+        train(kg, datasets, replace(cfg, max_steps=len(steps)), checkpoint_path=half)
+        _, adam, _, _ = load_checkpoint(half)
+        moving = [bool(m.any()) for m in adam.m]
+        assert any(moving) and not all(moving)  # live tensors and never-touched ones
+        resumed = tmp_path / "resumed.ckpt"
+        train(kg, datasets, cfg, resume_from=half, checkpoint_path=resumed)
+        assert resumed.read_bytes() == whole.read_bytes()
 
     def test_store_is_packed_and_checkpoint_round_trips(self, packed_case, tmp_path):
         kg, steps = packed_case
