@@ -74,7 +74,6 @@ from .training import (
     TrainConfig,
     TrainResult,
     load_checkpoint,
-    loss,
     save_checkpoint,
     train,
     write_training_log,
@@ -134,7 +133,6 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "load_checkpoint",
-    "loss",
     "save_checkpoint",
     "train",
     "write_training_log",

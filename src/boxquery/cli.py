@@ -18,7 +18,6 @@ import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .encoder import AGGREGATIONS
 from .evaluation import MODES, emit_report, evaluate, load_report
 from .graphs import KnowledgeGraph, graph_stats, load_graph, stats_json
 from .queries import TEMPLATE_NAMES, TEMPLATES
@@ -31,6 +30,7 @@ from .sampling import (
 )
 from .training import (
     TrainConfig,
+    checkpoint_fields,
     load_checkpoint,
     train,
     write_training_log,
@@ -76,6 +76,17 @@ class RunConfig:
             else dict(self.quotas)
             for f in fields(self)
         }
+
+    def _subset(self, kind):
+        return kind(**{f.name: getattr(self, f.name) for f in fields(kind)})
+
+    def sampler_config(self) -> SamplerConfig:
+        """The sampling keys as a :class:`SamplerConfig`, which checks them."""
+        return self._subset(SamplerConfig)
+
+    def train_config(self) -> TrainConfig:
+        """The training keys as a :class:`TrainConfig`, which checks them."""
+        return self._subset(TrainConfig)
 
 
 class ConfigError(ValueError):
@@ -151,34 +162,11 @@ def validate_config(cfg: RunConfig, needs_graph: bool = False) -> list[str]:
         problems.append(f"format: must be one of {'/'.join(_FORMATS)}")
     if not 0.0 < cfg.split_fraction < 1.0:
         problems.append("split_fraction: must lie in (0, 1)")
-    if not 0.0 <= cfg.val_fraction <= 1.0:
-        problems.append("val_fraction: must lie in [0, 1]")
-    if cfg.max_targets < 1:
-        problems.append("max_targets: must be >= 1")
-    if cfg.negatives_per_query < 0:
-        problems.append("negatives_per_query: must be >= 0")
-    if not 0.0 <= cfg.hard_negative_fraction <= 1.0:
-        problems.append("hard_negative_fraction: must lie in [0, 1]")
-    if any(q < 0 for q in cfg.quotas.values()):
-        problems.append("quotas: must be >= 0")
-    if cfg.dim < 1:
-        problems.append("dim: must be >= 1")
-    if cfg.layers < 1:
-        problems.append("layers: must be >= 1")
-    if cfg.aggregation not in AGGREGATIONS:
-        problems.append(f"aggregation: must be one of {'/'.join(AGGREGATIONS)}")
-    if cfg.gamma <= 0:
-        problems.append("gamma must be positive")
-    if cfg.alpha < 0:
-        problems.append("alpha: must be >= 0")
-    if cfg.lr <= 0:
-        problems.append("lr: must be positive")
-    if cfg.max_steps < 1:
-        problems.append("max_steps: must be >= 1")
-    if cfg.eval_every < 1:
-        problems.append("eval_every: must be >= 1")
-    if cfg.patience < 1:
-        problems.append("patience: must be >= 1")
+    for build in (cfg.sampler_config, cfg.train_config):
+        try:
+            build()
+        except ValueError as exc:
+            problems.extend(str(exc).split("; "))
     if cfg.aggregation == "tm":
         needed = max(
             (
@@ -292,16 +280,7 @@ def _cmd_split(cfg: RunConfig, args: argparse.Namespace) -> int:
 def _cmd_sample(cfg: RunConfig, args: argparse.Namespace) -> int:
     kg = _load_kg(cfg)
     es = split_edges(kg, cfg.split_fraction, cfg.seed)
-    sampler_cfg = SamplerConfig(
-        max_targets=cfg.max_targets,
-        negatives_per_query=cfg.negatives_per_query,
-        hard_negative_fraction=cfg.hard_negative_fraction,
-        quotas=cfg.quotas,
-        seed=cfg.seed,
-        val_fraction=cfg.val_fraction,
-        typed_negatives=cfg.typed_negatives,
-    )
-    instances, manifest = generate_datasets(kg, es, sampler_cfg)
+    instances, manifest = generate_datasets(kg, es, cfg.sampler_config())
     paths = write_datasets(cfg.out_dir, kg, instances, manifest)
     _update_run_manifest(cfg, "sample", _input_paths(cfg), list(paths.values()))
     by_split = {"train": 0, "val": 0, "test": 0}
@@ -315,24 +294,12 @@ def _cmd_sample(cfg: RunConfig, args: argparse.Namespace) -> int:
 def _cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     kg = _load_kg(cfg)
     datasets = load_datasets(cfg.out_dir, kg)
-    train_cfg = TrainConfig(
-        gamma=cfg.gamma,
-        alpha=cfg.alpha,
-        lr=cfg.lr,
-        max_steps=cfg.max_steps,
-        eval_every=cfg.eval_every,
-        patience=cfg.patience,
-        aggregation=cfg.aggregation,
-        seed=cfg.seed,
-        dim=cfg.dim,
-        layers=cfg.layers,
-    )
     out = Path(cfg.out_dir)
     checkpoint = out / "checkpoint.ckpt"
     result = train(
         kg,
         datasets,
-        train_cfg,
+        cfg.train_config(),
         checkpoint_path=checkpoint,
         resume_from=args.resume,
     )
@@ -373,7 +340,7 @@ def _cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     datasets = load_datasets(cfg.out_dir, kg)
     out = Path(cfg.out_dir)
     checkpoint = out / "checkpoint.ckpt"
-    ps, _, _, _ = load_checkpoint(checkpoint, dim=cfg.dim, aggregation=cfg.aggregation)
+    ps, _, _, _ = load_checkpoint(checkpoint, **checkpoint_fields(kg, cfg.train_config()))
     manifest_path = out / "manifest.json"
     manifest_hash = _sha256(manifest_path) if manifest_path.exists() else None
     report = evaluate(

@@ -111,8 +111,7 @@ class ParameterStore:
 
     def zero_grads(self) -> None:
         """Zero the gradient rows that each tensor marks (see :class:`Tensor2`)."""
-        for p in self.tensors.values():
-            p.zero_grad()
+        ad.zero_grads(self.tensors.values())
 
 
 def init_parameters(

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .boxes import DEFAULT_ALPHA
+from .boxes import DEFAULT_ALPHA, distances, overlap_buffer, overlaps, separation
 from .autodiff import no_grad
 from .encoder import ParameterStore, encode, encode_many
 from .queries import TEMPLATE_NAMES, QueryInstance
@@ -96,76 +96,6 @@ def confusion(
     mask = np.zeros(universe, dtype=bool)
     mask[_entity_ids(set(predicted), universe)] = True
     return _count(mask, _entity_ids(set(truth), universe))
-
-
-def separation(
-    q_center: np.ndarray,
-    q_offset: np.ndarray,
-    centers: np.ndarray,
-    offsets: np.ndarray,
-    delta: np.ndarray | None = None,
-    span: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per entity box, ``|c - q_c|`` and ``o + q_o``, what overlap and distance read.
-
-    ``offsets`` must already be clamped.  Results go into ``delta`` and
-    ``span`` when given; ``span`` may be ``offsets`` itself.
-    """
-    delta = np.subtract(centers, q_center, out=delta)
-    np.abs(delta, out=delta)
-    return delta, np.add(offsets, q_offset, out=span)
-
-
-# The bytes of a boolean array are 0 or 1, so eight of them read as one
-# word are all True exactly when the word equals this.
-_TRUE_WORD = np.uint64(0x0101010101010101)
-
-
-def overlap_buffer(rows: int, cols: int) -> np.ndarray:
-    """A boolean work buffer for :func:`overlaps` on ``rows x cols`` inputs.
-
-    Its rows are padded with True to a whole number of 8-byte words.
-    """
-    out = np.empty((rows, -(-cols // 8) * 8), dtype=bool)
-    out[:, cols:] = True
-    return out
-
-
-def overlaps(
-    delta: np.ndarray, span: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Which entity boxes overlap the query box, from :func:`separation`.
-
-    Boxes are closed, so touching counts as overlap; equivalently the
-    outside distance is exactly zero, and a NaN never overlaps.  ``out``
-    is a buffer from :func:`overlap_buffer`.  Each row of comparisons is
-    reduced as words, ANDed together, rather than byte by byte.
-    """
-    rows, cols = delta.shape
-    if out is None:
-        out = overlap_buffer(rows, cols)
-    np.less_equal(delta, span, out=out[:, :cols])
-    words = out.view(np.uint64)
-    every = words[:, 0].copy()
-    for j in range(1, words.shape[1]):
-        every &= words[:, j]
-    return every == _TRUE_WORD
-
-
-def distances(
-    delta: np.ndarray,
-    span: np.ndarray,
-    alpha: float = DEFAULT_ALPHA,
-    work: np.ndarray | None = None,
-) -> np.ndarray:
-    """Box distance per entity, ``outside + alpha * inside``, from :func:`separation`.
-
-    ``work`` is a float work buffer shaped like ``delta``.
-    """
-    work = np.subtract(delta, span, out=work)
-    outside = np.maximum(work, 0.0, out=work).sum(axis=1)
-    inside = np.minimum(delta, span, out=work).sum(axis=1)
-    return outside + alpha * inside
 
 
 def classify(ps: ParameterStore, q, method: str | None = None) -> frozenset[int]:

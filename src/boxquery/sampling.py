@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Mapping
 
@@ -94,17 +94,23 @@ class SamplerConfig:
     typed_negatives: bool = False
 
     def __post_init__(self):
-        if self.max_targets < 1:
-            raise ValueError("max_targets must be >= 1")
-        if self.negatives_per_query < 0:
-            raise ValueError("negatives_per_query must be >= 0")
-        if not 0.0 <= self.hard_negative_fraction <= 1.0:
-            raise ValueError("hard_negative_fraction must lie in [0, 1]")
-        if not 0.0 <= self.val_fraction <= 1.0:
-            raise ValueError("val_fraction must lie in [0, 1]")
-        for name in self.quotas:
-            if name not in TEMPLATES:
-                raise ValueError(f"quota for unknown template: {name!r}")
+        """Raise one ValueError listing every broken rule as ``key: rule``, joined by "; "."""
+        broken = [
+            f"{key}: {rule}"
+            for key, bad, rule in (
+                ("max_targets", self.max_targets < 1, "must be >= 1"),
+                ("negatives_per_query", self.negatives_per_query < 0, "must be >= 0"),
+                ("hard_negative_fraction", not 0.0 <= self.hard_negative_fraction <= 1.0,
+                 "must lie in [0, 1]"),
+                ("val_fraction", not 0.0 <= self.val_fraction <= 1.0, "must lie in [0, 1]"),
+                ("quotas", any(q < 0 for q in self.quotas.values()), "must be >= 0"),
+            )
+            if bad
+        ]
+        broken += [f"quotas: unknown template {name!r}" for name in self.quotas
+                   if name not in TEMPLATES]
+        if broken:
+            raise ValueError("; ".join(broken))
 
 
 def split_edges(
@@ -129,26 +135,17 @@ def split_edges(
     )
 
 
-def _split_for_edges(
-    witness_edges: tuple[Edge, ...],
-    split: EdgeSplit,
-    rng: np.random.Generator,
-    val_fraction: float,
-) -> str:
-    if any(e in split.removed_edges for e in witness_edges):
-        return "val" if rng.random() < val_fraction else "test"
-    return "train"
-
-
 def assign_split(
-    q: QueryInstance,
+    witness_edges: tuple[Edge, ...],
     split: EdgeSplit,
     rng: np.random.Generator,
     val_fraction: float = 0.10,
 ) -> str:
     """Split rule: drawn edges touching a removed edge push the query out
     of train, landing in val with probability ``val_fraction`` else test."""
-    return _split_for_edges(q.witness_edges, split, rng, val_fraction)
+    if any(e in split.removed_edges for e in witness_edges):
+        return "val" if rng.random() < val_fraction else "test"
+    return "train"
 
 
 def sample_query(
@@ -223,7 +220,7 @@ def sample_query(
         targets=frozenset(targets),
         negatives=(),
         hard_negatives=(),
-        split=_split_for_edges(tuple(witness), split, rng, cfg.val_fraction),
+        split=assign_split(tuple(witness), split, rng, cfg.val_fraction),
         witness_edges=tuple(witness),
     )
 
@@ -359,13 +356,8 @@ def _build_manifest(
     }
     return {
         "config": {
-            "max_targets": cfg.max_targets,
-            "negatives_per_query": cfg.negatives_per_query,
-            "hard_negative_fraction": cfg.hard_negative_fraction,
-            "quotas": dict(cfg.quotas),
-            "seed": cfg.seed,
-            "val_fraction": cfg.val_fraction,
-            "typed_negatives": cfg.typed_negatives,
+            f.name: dict(cfg.quotas) if f.name == "quotas" else getattr(cfg, f.name)
+            for f in fields(SamplerConfig)
         },
         "graph": {
             "entities": kg.num_entities,

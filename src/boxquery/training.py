@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamState, Tensor2, adam_step
-from .boxes import DEFAULT_ALPHA, Box, box_distance_t
+from .boxes import DEFAULT_ALPHA, box_distance_t, split_raw_box
 from .encoder import (
     AGGREGATIONS,
     ParameterStore,
@@ -56,22 +56,25 @@ class TrainConfig:
     layers: int = 3
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.alpha < 0:
-            raise ValueError("alpha must be non-negative")
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be >= 1")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
-        if self.aggregation not in AGGREGATIONS:
-            raise ValueError(f"unknown aggregation: {self.aggregation!r}")
-        if self.dim < 1 or self.layers < 1:
-            raise ValueError("dim and layers must be >= 1")
+        """Raise one ValueError listing every broken rule as ``key: rule``, joined by "; "."""
+        broken = [
+            f"{key}: {rule}"
+            for key, bad, rule in (
+                ("gamma", self.gamma <= 0, "must be positive"),
+                ("alpha", self.alpha < 0, "must be >= 0"),
+                ("lr", self.lr <= 0, "must be positive"),
+                ("max_steps", self.max_steps < 1, "must be >= 1"),
+                ("eval_every", self.eval_every < 1, "must be >= 1"),
+                ("patience", self.patience < 1, "must be >= 1"),
+                ("aggregation", self.aggregation not in AGGREGATIONS,
+                 f"must be one of {'/'.join(AGGREGATIONS)}"),
+                ("dim", self.dim < 1, "must be >= 1"),
+                ("layers", self.layers < 1, "must be >= 1"),
+            )
+            if bad
+        ]
+        if broken:
+            raise ValueError("; ".join(broken))
 
 
 def loss_terms(
@@ -101,33 +104,6 @@ def loss_terms(
     return total
 
 
-def _stack_boxes(boxes: Sequence[Box]) -> tuple[Tensor2, Tensor2]:
-    centers = ad.tensor(np.stack([b.center for b in boxes]))
-    offsets = ad.tensor(np.stack([b.offset for b in boxes]))
-    return centers, offsets
-
-
-def loss(
-    qbox: Box,
-    positives: Sequence[Box],
-    negatives: Sequence[Box] = (),
-    gamma: float = 1.0,
-    alpha: float = DEFAULT_ALPHA,
-) -> float:
-    """Plain-box front end to :func:`loss_terms`; returns a float."""
-    if not positives:
-        raise ValueError("loss needs at least one positive box")
-    q_center = ad.tensor(qbox.center)
-    q_offset = ad.tensor(qbox.offset)
-    pos_c, pos_o = _stack_boxes(positives)
-    neg_c = neg_o = None
-    if negatives:
-        neg_c, neg_o = _stack_boxes(negatives)
-    return loss_terms(
-        q_center, q_offset, pos_c, pos_o, neg_c, neg_o, gamma, alpha
-    ).item()
-
-
 def instance_loss(
     ps: ParameterStore,
     inst: QueryInstance,
@@ -137,16 +113,11 @@ def instance_loss(
 ) -> Tensor2:
     """Loss of one training instance, differentiable w.r.t. the store."""
     enc = encode(inst.query, ps, method)
-    d = ps.dim
-    rows = ad.gather_rows(ps.entity_embeddings, sorted(inst.targets))
-    pos_c = ad.slice_cols(rows, 0, d)
-    pos_o = ad.relu(ad.slice_cols(rows, d, 2 * d))
+    pos_c, pos_o = split_raw_box(ad.gather_rows(ps.entity_embeddings, sorted(inst.targets)))
     neg_ids = list(inst.negatives) + list(inst.hard_negatives)
     neg_c = neg_o = None
     if neg_ids:
-        neg_rows = ad.gather_rows(ps.entity_embeddings, neg_ids)
-        neg_c = ad.slice_cols(neg_rows, 0, d)
-        neg_o = ad.relu(ad.slice_cols(neg_rows, d, 2 * d))
+        neg_c, neg_o = split_raw_box(ad.gather_rows(ps.entity_embeddings, neg_ids))
     return loss_terms(enc.center, enc.offset, pos_c, pos_o, neg_c, neg_o, gamma, alpha)
 
 
@@ -216,10 +187,10 @@ def train(
     validation data (or no negatives in it) training simply runs to
     ``max_steps``.  ``checkpoint_path`` saves the returned parameters;
     ``resume_from`` restores parameters, optimizer, step counter, and
-    shuffle state from an earlier save; a checkpoint whose entity,
-    relation or type counts differ from ``kg``, or whose ``layers`` or
-    Adam ``lr`` differ from ``cfg``, raises :class:`CheckpointError`
-    naming the field.  A NaN or infinite loss raises
+    shuffle state from an earlier save; a checkpoint whose header differs
+    from :func:`checkpoint_fields` of ``kg`` and ``cfg``, or whose Adam
+    ``lr`` differs from ``cfg``, raises :class:`CheckpointError` naming
+    the field.  A NaN or infinite loss raises
     :class:`NonFiniteLossError` before that step updates anything.
     """
     train_set = list(datasets.get("train", []))
@@ -230,24 +201,15 @@ def train(
     _check_dataset_ids(kg, val_set)
 
     start_step = 0
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _SHUFFLE_STREAM]))
     if resume_from is not None:
         ps, adam, start_step, rng_state = load_checkpoint(
-            resume_from, dim=cfg.dim, aggregation=cfg.aggregation
+            resume_from, **checkpoint_fields(kg, cfg)
         )
-        for name, saved, expected in (
-            ("num_entities", ps.num_entities, kg.num_entities),
-            ("num_relations", ps.num_relations, kg.num_relations),
-            ("num_types", ps.num_types, kg.num_types),
-            ("layers", ps.layers, cfg.layers),
-            ("lr", adam.lr, cfg.lr),
-        ):
-            if saved != expected:
-                raise CheckpointError(
-                    f"checkpoint {resume_from} has {name} {saved!r}, expected {expected!r}"
-                )
-        rng = np.random.default_rng(
-            np.random.SeedSequence([cfg.seed, _SHUFFLE_STREAM])
-        )
+        if adam.lr != cfg.lr:
+            raise CheckpointError(
+                f"checkpoint {resume_from} has lr {adam.lr!r}, expected {cfg.lr!r}"
+            )
         if rng_state is not None:
             rng.bit_generator.state = rng_state
     else:
@@ -255,9 +217,6 @@ def train(
             kg, dim=cfg.dim, layers=cfg.layers, seed=cfg.seed, aggregation=cfg.aggregation
         )
         adam = AdamState(ps.parameters(), lr=cfg.lr)
-        rng = np.random.default_rng(
-            np.random.SeedSequence([cfg.seed, _SHUFFLE_STREAM])
-        )
 
     history: list[LogRow] = []
     best_snapshot: np.ndarray | None = None
@@ -402,16 +361,28 @@ def save_checkpoint(
     return path
 
 
+def checkpoint_fields(kg: KnowledgeGraph, cfg: TrainConfig) -> dict:
+    """The header fields a checkpoint must hold to serve ``kg`` under ``cfg``."""
+    return {
+        "dim": cfg.dim,
+        "aggregation": cfg.aggregation,
+        "num_entities": kg.num_entities,
+        "num_relations": kg.num_relations,
+        "num_types": kg.num_types,
+        "layers": cfg.layers,
+    }
+
+
 def load_checkpoint(
-    path: str | Path,
-    dim: int | None = None,
-    aggregation: str | None = None,
+    path: str | Path, **expected
 ) -> tuple[ParameterStore, AdamState, int, dict | None]:
     """Restore (store, optimizer, step, rng state) from a checkpoint file.
 
-    ``dim`` and ``aggregation``, when given, must match what was saved;
-    mismatches raise :class:`CheckpointError` rather than producing a
-    silently incompatible model.
+    Each keyword names a header field (``dim``, ``layers``,
+    ``aggregation``, ``num_entities``, ... see :func:`checkpoint_fields`)
+    that must equal what was saved; the first that differs raises
+    :class:`CheckpointError` naming it, rather than producing a silently
+    incompatible model.
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -436,15 +407,11 @@ def load_checkpoint(
     if missing:
         raise CheckpointError(f"checkpoint header in {path} lacks the key {missing[0]!r}")
     cursor += header_len
-    if dim is not None and header["dim"] != dim:
-        raise CheckpointError(
-            f"checkpoint has dim {header['dim']}, expected {dim}"
-        )
-    if aggregation is not None and header["aggregation"] != aggregation:
-        raise CheckpointError(
-            f"checkpoint was trained with aggregation {header['aggregation']!r},"
-            f" expected {aggregation!r}"
-        )
+    for name, value in expected.items():
+        if header.get(name) != value:
+            raise CheckpointError(
+                f"checkpoint {path} has {name} {header.get(name)!r}, expected {value!r}"
+            )
 
     size = sum(rows * cols for _, rows, cols in header["tensors"])
     end = cursor + 3 * size * 8

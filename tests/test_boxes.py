@@ -9,10 +9,14 @@ from boxquery.boxes import (
     contains,
     contains_box,
     distance,
+    distance_inside,
     distance_outside,
     intersects,
     materialize,
+    overlap_buffer,
+    overlaps,
     random_box,
+    separation,
     split_raw_box,
 )
 
@@ -101,6 +105,114 @@ class TestDistance:
             hits += hit
             assert hit == (distance_outside(a, b2) == 0.0)
         assert 0 < hits < 2000  # both branches exercised
+
+
+class TestOverlaps:
+    def test_overlap_decides_membership(self):
+        # entity v against three query boxes: inside A, touching B, outside C
+        v_center, v_offset = np.array([0.0]), np.array([0.5])
+        queries = {
+            "A": (np.array([0.4]), np.array([0.2])),
+            "B": (np.array([1.0]), np.array([0.5])),
+            "C": (np.array([2.0]), np.array([0.4])),
+        }
+        verdict = {
+            name: bool(
+                overlaps(*separation(c, o, v_center[None, :], v_offset[None, :]))[0]
+            )
+            for name, (c, o) in queries.items()
+        }
+        assert verdict == {"A": True, "B": True, "C": False}
+
+    def test_matches_zero_outside_distance(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            a = random_box(rng, dim=3)
+            b = random_box(rng, dim=3)
+            mask = overlaps(*separation(
+                a.center, a.offset, b.center[None, :], b.offset[None, :]
+            ))[0]
+            assert bool(mask) == (distance_outside(a, b) == 0.0)
+
+    @pytest.mark.parametrize("width", [*range(1, 18), 32])
+    def test_word_reduction_matches_all_over_each_row(self, width):
+        # rows that overlap, touch exactly, miss in one column, or hold NaN
+        # and infinities, against the byte-by-byte reduction
+        rng = np.random.default_rng(width)
+        rows = 96
+        delta = rng.uniform(0.0, 2.0, (rows, width))
+        span = delta + rng.uniform(0.0, 1.0, (rows, width))  # every column overlaps
+        span[1::6] = delta[1::6]  # touching faces
+        miss = rng.integers(0, width, rows)
+        span[2::6, :] = delta[2::6, :]
+        span[np.arange(2, rows, 6), miss[2::6]] = np.nextafter(
+            delta[np.arange(2, rows, 6), miss[2::6]], -np.inf)
+        delta[3::12, miss[3]] = np.nan
+        span[9::12, miss[9]] = np.nan
+        delta[4::12, miss[4]] = np.inf
+        span[4::12, miss[4]] = np.inf  # inf <= inf
+        span[10::12, miss[10]] = -np.inf
+        delta[5::6, miss[5]] = np.inf  # a finite span misses it
+        want = np.less_equal(delta, span).all(axis=1)
+        assert want.any() and not want.all()
+        got = overlaps(delta, span)
+        assert got.dtype == bool and got.tobytes() == want.tobytes()
+        buffer = overlap_buffer(rows, width)
+        assert buffer.shape[1] % 8 == 0 and buffer[:, width:].all()
+        for _ in range(2):  # the buffer is reused, its padding kept
+            assert overlaps(delta, span, buffer).tobytes() == want.tobytes()
+            assert buffer[:, width:].all()
+
+
+class TestOneRowWrappers:
+    """The Box predicates and distances read the table kernel on one row;
+    their values are those of the same formulas on the two vectors."""
+
+    @staticmethod
+    def direct(a, b, alpha):
+        delta = np.abs(a.center - b.center)
+        total = a.offset + b.offset
+        outside = float(np.maximum(delta - total, 0.0).sum())
+        inside = float(np.minimum(delta, total).sum())
+        return bool(np.all(delta <= total)), outside, inside, outside + alpha * inside
+
+    @staticmethod
+    def wrapped(a, b, alpha):
+        return (intersects(a, b), distance_outside(a, b), distance_inside(a, b),
+                distance(a, b, alpha))
+
+    def assert_bitwise(self, a, b, alpha=0.02):
+        want, got = self.direct(a, b, alpha), self.wrapped(a, b, alpha)
+        assert got[0] == want[0]
+        assert np.array(got[1:]).tobytes() == np.array(want[1:]).tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7, 8, 9, 17, 64, 129, 1000])
+    def test_random_pairs(self, dim):
+        rng = np.random.default_rng(dim)
+        for _ in range(20):
+            a, b = random_box(rng, dim), random_box(rng, dim)
+            self.assert_bitwise(a, b)
+            self.assert_bitwise(b, a, alpha=0.5)
+            self.assert_bitwise(a, a)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_touching_nan_and_infinite_boxes(self):
+        values = [np.nan, np.inf, -np.inf, 0.0, -0.0, 2.0, 1e308]
+        for c1 in values:
+            for o1 in values:
+                for c2 in values:
+                    for o2 in (0.0, 1.0, np.inf, np.nan):
+                        a = box([c1, 0.5], [o1, 1.0])
+                        b = box([c2, 0.5], [o2, 1.0])
+                        self.assert_bitwise(a, b)
+                        self.assert_bitwise(b, a, alpha=0.0)
+        self.assert_bitwise(box([0.0], [1.0]), box([2.0], [1.0]))
+        self.assert_bitwise(box([], []), box([], []))  # zero width: an empty all
+
+    def test_dimension_mismatch(self):
+        for fn in (intersects, distance_outside, distance_inside, distance):
+            with pytest.raises(ValueError):
+                fn(box([0.0], [1.0]), box([0.0, 0.0], [1.0, 1.0]))
 
 
 class TestDifferentiablePath:

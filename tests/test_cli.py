@@ -1,6 +1,7 @@
 """Tests for the command-line front end."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -93,7 +94,50 @@ class TestConfig:
     def test_negative_gamma_violation_message(self):
         cfg = RunConfig(gamma=-1.0)
         problems = validate_config(cfg)
-        assert any("gamma must be positive" in p for p in problems)
+        assert "gamma: must be positive" in problems
+
+    # one bad value for every key that has a rule
+    BAD_VALUES = {
+        "graph_path": None,
+        "types_path": "/nope/types.tsv",
+        "format": "csv",
+        "split_fraction": 1.0,
+        "val_fraction": 1.5,
+        "max_targets": 0,
+        "negatives_per_query": -1,
+        "hard_negative_fraction": -0.1,
+        "quotas": {"1-chain": -1},
+        "dim": 0,
+        "layers": 0,
+        "aggregation": "avg",
+        "gamma": 0.0,
+        "alpha": -0.5,
+        "lr": -1.0,
+        "max_steps": 0,
+        "eval_every": 0,
+        "patience": 0,
+    }
+    FREE_KEYS = {"out_dir", "typed_negatives", "seed"}
+
+    def test_every_key_is_covered(self):
+        keys = {f.name for f in fields(RunConfig)}
+        assert keys == set(self.BAD_VALUES) | self.FREE_KEYS
+
+    @pytest.mark.parametrize("key", sorted(BAD_VALUES))
+    def test_bad_value_is_named_by_its_key(self, key, toy_files):
+        graph, types = toy_files
+        cfg = RunConfig(graph_path=str(graph), types_path=str(types))
+        setattr(cfg, key, self.BAD_VALUES[key])
+        problems = validate_config(cfg, needs_graph=True)
+        assert len(problems) == 1 and problems[0].startswith(f"{key}:")
+
+    def test_two_bad_values_are_both_reported(self):
+        problems = validate_config(RunConfig(max_targets=0, gamma=-1.0, lr=0.0))
+        assert problems == [
+            "max_targets: must be >= 1",
+            "gamma: must be positive",
+            "lr: must be positive",
+        ]
 
     def test_tm_layer_policy_violation(self):
         cfg = RunConfig(aggregation="tm", layers=2)
@@ -224,14 +268,15 @@ class TestPipeline:
         assert set(report["templates"]) == set(TEMPLATE_NAMES)
         assert report["manifest_hash"]
 
-    def test_eval_rejects_wrong_dim(self, run_dir, capsys):
+    @pytest.mark.parametrize("key, value", [("dim", 8), ("layers", 3)])
+    def test_eval_rejects_a_checkpoint_of_another_shape(self, run_dir, capsys, key, value):
         cfg, _ = run_dir
         code = dispatch(
-            ["eval", "--config", str(cfg), "--set", "dim=8", "--split", "test"]
+            ["eval", "--config", str(cfg), "--set", f"{key}={value}", "--split", "test"]
         )
         err = capsys.readouterr().err
         assert code == 2
-        assert "dim" in err
+        assert f"has {key} " in err and f"expected {value}" in err
 
     def test_report_prints_table(self, run_dir, capsys):
         cfg, out = run_dir

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from boxquery import autodiff as ad
-from boxquery.boxes import DEFAULT_ALPHA, distance_outside, random_box
+from boxquery.boxes import DEFAULT_ALPHA, overlaps, separation
 from boxquery.encoder import AGGREGATIONS, encode, init_parameters
 from boxquery.evaluation import (
     ConfusionMatrix,
@@ -15,10 +15,7 @@ from boxquery.evaluation import (
     evaluate,
     _pair_wins,
     load_report,
-    overlap_buffer,
-    overlaps,
     pairwise_accuracy,
-    separation,
 )
 from boxquery.queries import TEMPLATE_NAMES, QueryInstance, execute, instantiate
 from boxquery.sampling import SamplerConfig, generate_datasets, split_edges
@@ -71,63 +68,6 @@ class TestConfusion:
     def test_accumulation(self):
         total = ConfusionMatrix(1, 2, 3, 4) + ConfusionMatrix(10, 20, 30, 40)
         assert (total.tp, total.fp, total.fn, total.tn) == (11, 22, 33, 44)
-
-
-class TestOverlaps:
-    def test_overlap_decides_membership(self):
-        # entity v against three query boxes: inside A, touching B, outside C
-        v_center, v_offset = np.array([0.0]), np.array([0.5])
-        queries = {
-            "A": (np.array([0.4]), np.array([0.2])),
-            "B": (np.array([1.0]), np.array([0.5])),
-            "C": (np.array([2.0]), np.array([0.4])),
-        }
-        verdict = {
-            name: bool(
-                overlaps(*separation(c, o, v_center[None, :], v_offset[None, :]))[0]
-            )
-            for name, (c, o) in queries.items()
-        }
-        assert verdict == {"A": True, "B": True, "C": False}
-
-    def test_matches_zero_outside_distance(self):
-        rng = np.random.default_rng(5)
-        for _ in range(300):
-            a = random_box(rng, dim=3)
-            b = random_box(rng, dim=3)
-            mask = overlaps(*separation(
-                a.center, a.offset, b.center[None, :], b.offset[None, :]
-            ))[0]
-            assert bool(mask) == (distance_outside(a, b) == 0.0)
-
-    @pytest.mark.parametrize("width", [*range(1, 18), 32])
-    def test_word_reduction_matches_all_over_each_row(self, width):
-        # rows that overlap, touch exactly, miss in one column, or hold NaN
-        # and infinities, against the byte-by-byte reduction
-        rng = np.random.default_rng(width)
-        rows = 96
-        delta = rng.uniform(0.0, 2.0, (rows, width))
-        span = delta + rng.uniform(0.0, 1.0, (rows, width))  # every column overlaps
-        span[1::6] = delta[1::6]  # touching faces
-        miss = rng.integers(0, width, rows)
-        span[2::6, :] = delta[2::6, :]
-        span[np.arange(2, rows, 6), miss[2::6]] = np.nextafter(
-            delta[np.arange(2, rows, 6), miss[2::6]], -np.inf)
-        delta[3::12, miss[3]] = np.nan
-        span[9::12, miss[9]] = np.nan
-        delta[4::12, miss[4]] = np.inf
-        span[4::12, miss[4]] = np.inf  # inf <= inf
-        span[10::12, miss[10]] = -np.inf
-        delta[5::6, miss[5]] = np.inf  # a finite span misses it
-        want = np.less_equal(delta, span).all(axis=1)
-        assert want.any() and not want.all()
-        got = overlaps(delta, span)
-        assert got.dtype == bool and got.tobytes() == want.tobytes()
-        buffer = overlap_buffer(rows, width)
-        assert buffer.shape[1] % 8 == 0 and buffer[:, width:].all()
-        for _ in range(2):  # the buffer is reused, its padding kept
-            assert overlaps(delta, span, buffer).tobytes() == want.tobytes()
-            assert buffer[:, width:].all()
 
 
 class TestClassify:

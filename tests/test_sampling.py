@@ -89,6 +89,7 @@ class TestSamplerConfig:
             {"hard_negative_fraction": 1.5},
             {"val_fraction": -0.1},
             {"quotas": {"4-chain": 3}},
+            {"quotas": {"1-chain": -1}},
         ],
     )
     def test_validation(self, kwargs):
@@ -177,15 +178,16 @@ class TestAssignSplit:
     def test_clean_queries_train(self, kg):
         split = EdgeSplit(kg.edge_set, frozenset(), rng_seed=0)
         inst = self._instance(kg, (kg.edges[0],))
-        assert assign_split(inst, split, np.random.default_rng(0)) == "train"
+        assert assign_split(inst.witness_edges, split, np.random.default_rng(0)) == "train"
 
     def test_removed_edge_goes_to_val_or_test(self, kg):
         marked = kg.edges[0]
         split = EdgeSplit(kg.edge_set - {marked}, frozenset([marked]), rng_seed=0)
         inst = self._instance(kg, (marked,))
         rng = np.random.default_rng(0)
-        always_val = {assign_split(inst, split, rng, val_fraction=1.0) for _ in range(10)}
-        always_test = {assign_split(inst, split, rng, val_fraction=0.0) for _ in range(10)}
+        edges = inst.witness_edges
+        always_val = {assign_split(edges, split, rng, val_fraction=1.0) for _ in range(10)}
+        always_test = {assign_split(edges, split, rng, val_fraction=0.0) for _ in range(10)}
         assert always_val == {"val"}
         assert always_test == {"test"}
 
@@ -194,7 +196,7 @@ class TestAssignSplit:
         split = EdgeSplit(kg.edge_set - {marked}, frozenset([marked]), rng_seed=0)
         inst = self._instance(kg, (marked,))
         rng = np.random.default_rng(42)
-        draws = [assign_split(inst, split, rng) for _ in range(2000)]
+        draws = [assign_split(inst.witness_edges, split, rng) for _ in range(2000)]
         share = draws.count("val") / len(draws)
         assert 0.07 < share < 0.13
 

@@ -8,7 +8,6 @@ import pytest
 
 from boxquery import autodiff as ad
 from boxquery.autodiff import AdamState, adam_step
-from boxquery.boxes import Box
 from boxquery.encoder import AGGREGATIONS, init_parameters
 from boxquery.queries import QueryInstance, execute, instantiate
 from boxquery.sampling import SamplerConfig, generate_datasets, split_edges
@@ -21,7 +20,7 @@ from boxquery.training import (
     TrainConfig,
     instance_loss,
     load_checkpoint,
-    loss,
+    loss_terms,
     save_checkpoint,
     train,
     write_training_log,
@@ -72,51 +71,61 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
 
+    def test_every_broken_rule_is_named_by_its_key(self):
+        with pytest.raises(ValueError) as caught:
+            TrainConfig(gamma=-1.0, lr=0.0, dim=0, layers=0)
+        assert str(caught.value).split("; ") == [
+            "gamma: must be positive",
+            "lr: must be positive",
+            "dim: must be >= 1",
+            "layers: must be >= 1",
+        ]
+
+
+def rows(*values):
+    """A tensor with one row per list of coordinates."""
+    return ad.tensor(np.array(values, dtype=float))
+
 
 class TestLoss:
     def test_positive_at_zero_distance_no_negatives(self):
-        box = Box(np.zeros(2), np.ones(2))
-        value = loss(box, [box], [], gamma=1.0)
+        center, offset = rows([0.0, 0.0]), rows([1.0, 1.0])
+        value = loss_terms(center, offset, center, offset, gamma=1.0).item()
         assert value == pytest.approx(0.31326168751822286, abs=1e-10)
 
     def test_both_sides_at_the_margin(self):
-        q = Box(np.zeros(1), np.zeros(1))
-        at_margin = Box(np.ones(1), np.zeros(1))
-        value = loss(q, [at_margin], [at_margin], gamma=1.0)
+        q, zero, at_margin = rows([0.0]), rows([0.0]), rows([1.0])
+        value = loss_terms(q, zero, at_margin, zero, at_margin, zero, gamma=1.0).item()
         assert value == pytest.approx(2 * np.log(2.0), abs=1e-12)
 
     def test_distant_negatives_vanish(self):
-        q = Box(np.zeros(1), np.zeros(1))
-        pos = Box(np.zeros(1), np.zeros(1))
-        far = Box(np.full(1, 1e9), np.zeros(1))
-        value = loss(q, [pos], [far], gamma=1.0)
+        q, zero, far = rows([0.0]), rows([0.0]), rows([1e9])
+        value = loss_terms(q, zero, q, zero, far, zero, gamma=1.0).item()
         assert value == pytest.approx(0.31326168751822286, abs=1e-9)
 
     def test_empty_positives_rejected(self):
-        q = Box(np.zeros(1), np.zeros(1))
+        q, none = rows([0.0]), ad.tensor(np.zeros((0, 1)))
         with pytest.raises(ValueError):
-            loss(q, [], [q])
+            loss_terms(q, q, none, none, q, q)
 
     def test_finite_for_finite_inputs(self):
-        q = Box(np.array([1e8]), np.array([5.0]))
-        other = Box(np.array([-1e8]), np.array([2.0]))
-        assert np.isfinite(loss(q, [other], [other]))
+        q_c, q_o = rows([1e8]), rows([5.0])
+        other_c, other_o = rows([-1e8]), rows([2.0])
+        assert np.isfinite(loss_terms(q_c, q_o, other_c, other_o, other_c, other_o).item())
 
     def test_closer_positives_never_hurt(self):
-        q = Box(np.zeros(1), np.zeros(1))
-        neg = Box(np.array([3.0]), np.zeros(1))
+        q, zero, neg = rows([0.0]), rows([0.0]), rows([3.0])
         distances = [4.0, 2.0, 1.0, 0.5, 0.0]
         values = [
-            loss(q, [Box(np.array([c]), np.zeros(1))], [neg]) for c in distances
+            loss_terms(q, zero, rows([c]), zero, neg, zero).item() for c in distances
         ]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
     def test_closer_negatives_never_help(self):
-        q = Box(np.zeros(1), np.zeros(1))
-        pos = Box(np.zeros(1), np.zeros(1))
+        q, zero = rows([0.0]), rows([0.0])
         distances = [4.0, 2.0, 1.0, 0.5]
         values = [
-            loss(q, [pos], [Box(np.array([c]), np.zeros(1))]) for c in distances
+            loss_terms(q, zero, q, zero, rows([c]), zero).item() for c in distances
         ]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
