@@ -15,7 +15,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, make_dataclass
 from pathlib import Path
 
 from .evaluation import MODES, emit_report, evaluate, load_report
@@ -37,45 +37,21 @@ from .training import (
 )
 
 _QUOTA_PREFIX = "quota_"
-_DEFAULT_QUOTA = 100
 _FORMATS = ("tsv", "ntriples")
 
 
 @dataclass
-class RunConfig:
-    """Everything a run needs, in one flat bag of keys."""
+class _CliKeys:
+    """The keys only the command line has; see :class:`RunConfig`."""
 
     graph_path: str | None = None
     types_path: str | None = None
     format: str = "tsv"
     out_dir: str = "run"
     split_fraction: float = 0.1
-    val_fraction: float = 0.1
-    max_targets: int = 100
-    negatives_per_query: int = 10
-    hard_negative_fraction: float = 0.5
-    quotas: dict[str, int] = field(
-        default_factory=lambda: {name: _DEFAULT_QUOTA for name in TEMPLATE_NAMES}
-    )
-    typed_negatives: bool = False
-    dim: int = 32
-    layers: int = 3
-    aggregation: str = "sum"
-    gamma: float = 1.0
-    alpha: float = 0.02
-    lr: float = 0.01
-    max_steps: int = 10000
-    eval_every: int = 500
-    patience: int = 3
-    seed: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            f.name: getattr(self, f.name)
-            if f.name != "quotas"
-            else dict(self.quotas)
-            for f in fields(self)
-        }
+        return asdict(self)
 
     def _subset(self, kind):
         return kind(**{f.name: getattr(self, f.name) for f in fields(kind)})
@@ -87,6 +63,33 @@ class RunConfig:
     def train_config(self) -> TrainConfig:
         """The training keys as a :class:`TrainConfig`, which checks them."""
         return self._subset(TrainConfig)
+
+
+# The library's quotas default to {}, which samples nothing, so a run from
+# the command line samples 100 queries of every template unless told
+# otherwise.  This is the one default the CLI sets itself.
+_QUOTAS = field(default_factory=lambda: dict.fromkeys(TEMPLATE_NAMES, 100))
+
+RunConfig = make_dataclass(
+    "RunConfig",
+    [
+        (f.name, f.type, _QUOTAS if f.name == "quotas"
+         else field(default=f.default, default_factory=f.default_factory))
+        for f in {
+            f.name: f for kind in (SamplerConfig, TrainConfig) for f in fields(kind)
+        }.values()  # seed is a field of both
+    ],
+    bases=(_CliKeys,),
+    namespace={
+        "__module__": __name__,
+        "__doc__": """Everything a run needs, in one flat bag of keys.
+
+    Besides the command line's own keys, every field of
+    :class:`SamplerConfig` and :class:`TrainConfig` is a key, with that
+    field's type and default; only ``quotas`` has a default of its own.
+    """,
+    },
+)
 
 
 class ConfigError(ValueError):
@@ -102,6 +105,9 @@ def _parse_bool(value: str) -> bool:
     raise ConfigError(f"expected a boolean, got {value!r}")
 
 
+_PARSERS = {"bool": _parse_bool, "int": int, "float": float}
+
+
 def _apply_key(cfg: RunConfig, key: str, value: str) -> None:
     if key.startswith(_QUOTA_PREFIX):
         template = key[len(_QUOTA_PREFIX) :]
@@ -115,16 +121,9 @@ def _apply_key(cfg: RunConfig, key: str, value: str) -> None:
     by_name = {f.name: f for f in fields(RunConfig)}
     if key not in by_name or key == "quotas":
         raise ConfigError(f"unknown config key {key!r}")
-    kind = by_name[key].type
+    parse = _PARSERS.get(by_name[key].type, str)
     try:
-        if key == "typed_negatives":
-            parsed: object = _parse_bool(value)
-        elif kind == "int":
-            parsed = int(value)
-        elif kind == "float":
-            parsed = float(value)
-        else:
-            parsed = value
+        parsed = parse(value)
     except ValueError:
         raise ConfigError(f"{key}: could not parse {value!r}") from None
     setattr(cfg, key, parsed)
@@ -181,7 +180,7 @@ def validate_config(cfg: RunConfig, needs_graph: bool = False) -> list[str]:
                 f"layers: aggregation tm runs one step per hop and the widest "
                 f"configured template needs {needed} layers, got {cfg.layers}"
             )
-    return problems
+    return list(dict.fromkeys(problems))  # both dataclasses check seed
 
 
 # --- plumbing ---------------------------------------------------------------

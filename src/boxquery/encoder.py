@@ -114,6 +114,20 @@ class ParameterStore:
         ad.zero_grads(self.tensors.values())
 
 
+def shape_problems(dim: int, layers: int, aggregation: str) -> list[str]:
+    """The broken rules of a store's shape, each as ``key: rule``."""
+    return [
+        f"{key}: {rule}"
+        for key, bad, rule in (
+            ("aggregation", aggregation not in AGGREGATIONS,
+             f"must be one of {'/'.join(AGGREGATIONS)}"),
+            ("dim", dim < 1, "must be >= 1"),
+            ("layers", layers < 1, "must be >= 1"),
+        )
+        if bad
+    ]
+
+
 def init_parameters(
     kg: KnowledgeGraph,
     dim: int = 32,
@@ -123,12 +137,9 @@ def init_parameters(
 ) -> ParameterStore:
     """Fresh parameters: centers ~ U(0,10), raw offsets ~ N(3,1), message
     and MLP weights Glorot-uniform.  Deterministic per seed."""
-    if dim < 1:
-        raise ConfigurationError(f"embedding dimension must be >= 1, got {dim}")
-    if layers < 1:
-        raise ConfigurationError(f"layer count must be >= 1, got {layers}")
-    if aggregation not in AGGREGATIONS:
-        raise ConfigurationError(f"unknown aggregation: {aggregation!r}")
+    problems = shape_problems(dim, layers, aggregation)
+    if problems:
+        raise ConfigurationError("; ".join(problems))
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x0B0E]))
     width = 2 * dim
 
@@ -297,41 +308,34 @@ def aggregate(
 
 @dataclass
 class QueryEncoding:
-    """The query box plus the differentiable handles that produced it."""
+    """One query's box as differentiable 1 x d tensors: the center and the
+    clamped offset.  :attr:`box` copies them out as plain arrays."""
 
-    box: Box
     center: Tensor2
     offset: Tensor2
-    node_states: list[np.ndarray]
+
+    @property
+    def box(self) -> Box:
+        return Box(self.center.data[0].copy(), self.offset.data[0].copy())
 
 
 def _encode_rows(
     queries: Sequence[QueryGraph],
     ps: ParameterStore,
     method: str | None,
-    steps: int | None,
-) -> tuple[Tensor2, list[Tensor2]]:
-    """Raw 2d box vectors, one row per query, and the final node states."""
+) -> Tensor2:
+    """Raw 2d box vectors, one row per query."""
     method = method or ps.aggregation
     if method not in AGGREGATIONS:
         raise ConfigurationError(f"unknown aggregation: {method!r}")
     if method == "mlp" and "mlp_w1" not in ps.tensors:
         raise ConfigurationError("store was initialized without MLP weights")
     first_query = queries[0]
-    if method == "tm":
-        needed = first_query.shape.diameter
-        if steps is None:
-            steps = needed
-        if steps != needed:
-            raise ConfigurationError(
-                f"tm aggregation needs exactly {needed} steps for "
-                f"{first_query.template}, got {steps}"
-            )
-    elif steps is None:
-        steps = ps.layers
+    steps = first_query.shape.diameter if method == "tm" else ps.layers
     if steps > ps.layers:
         raise ConfigurationError(
-            f"{steps} message-passing steps requested but store has {ps.layers} layers"
+            f"tm aggregation needs {steps} steps for {first_query.template} "
+            f"but store has {ps.layers} layers"
         )
     states = node_features(queries, ps)
     messages = query_messages(queries)
@@ -340,29 +344,21 @@ def _encode_rows(
     # how many steps a particular query needs.
     for layer in range(ps.layers - steps + 1, ps.layers + 1):
         states = message_pass(states, messages, ps, layer, last=(layer == ps.layers))
-    return aggregate(states, method, first_query, ps), states
+    return aggregate(states, method, first_query, ps)
 
 
 def encode(
     q: QueryGraph,
     ps: ParameterStore,
     method: str | None = None,
-    steps: int | None = None,
 ) -> QueryEncoding:
     """Full pipeline: features -> message passing -> aggregate -> box.
 
-    The target read-out (``tm``) runs exactly ``q.shape.diameter`` steps; any
-    explicit step count that disagrees is a configuration error.  Other
-    aggregations run all ``ps.layers`` steps unless overridden.
+    The target read-out (``tm``) runs ``q.shape.diameter`` steps, the last
+    ones of the store, so a store with fewer layers is a configuration
+    error.  Other aggregations run all ``ps.layers`` steps.
     """
-    raw, states = _encode_rows([q], ps, method, steps)
-    center, offset = split_raw_box(raw)
-    return QueryEncoding(
-        box=Box(center.data[0].copy(), offset.data[0].copy()),
-        center=center,
-        offset=offset,
-        node_states=[s.data.copy() for s in states],
-    )
+    return QueryEncoding(*split_raw_box(_encode_rows([q], ps, method)))
 
 
 def encode_many(
@@ -385,6 +381,5 @@ def encode_many(
             f"encode_many needs queries of one template, got {template} and {mixed}"
         )
     with ad.no_grad():
-        raw, _ = _encode_rows(queries, ps, method, None)
-        center, offset = split_raw_box(raw)
+        center, offset = split_raw_box(_encode_rows(queries, ps, method))
     return center.data, offset.data

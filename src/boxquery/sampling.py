@@ -104,6 +104,7 @@ class SamplerConfig:
                  "must lie in [0, 1]"),
                 ("val_fraction", not 0.0 <= self.val_fraction <= 1.0, "must lie in [0, 1]"),
                 ("quotas", any(q < 0 for q in self.quotas.values()), "must be >= 0"),
+                ("seed", self.seed < 0, "must be >= 0"),
             )
             if bad
         ]

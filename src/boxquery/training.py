@@ -25,12 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import AdamState, Tensor2, adam_step
 from .boxes import DEFAULT_ALPHA, box_distance_t, split_raw_box
-from .encoder import (
-    AGGREGATIONS,
-    ParameterStore,
-    encode,
-    init_parameters,
-)
+from .encoder import ParameterStore, encode, init_parameters, shape_problems
 from .evaluation import evaluate
 from .graphs import KnowledgeGraph
 from .queries import TEMPLATE_NAMES, QueryInstance
@@ -66,13 +61,11 @@ class TrainConfig:
                 ("max_steps", self.max_steps < 1, "must be >= 1"),
                 ("eval_every", self.eval_every < 1, "must be >= 1"),
                 ("patience", self.patience < 1, "must be >= 1"),
-                ("aggregation", self.aggregation not in AGGREGATIONS,
-                 f"must be one of {'/'.join(AGGREGATIONS)}"),
-                ("dim", self.dim < 1, "must be >= 1"),
-                ("layers", self.layers < 1, "must be >= 1"),
+                ("seed", self.seed < 0, "must be >= 0"),
             )
             if bad
         ]
+        broken += shape_problems(self.dim, self.layers, self.aggregation)
         if broken:
             raise ValueError("; ".join(broken))
 

@@ -15,7 +15,9 @@ from boxquery.cli import (
 )
 from boxquery.graphs import save_graph
 from boxquery.queries import TEMPLATE_NAMES
+from boxquery.sampling import SamplerConfig
 from boxquery.synthetic import hub_graph, toy_collaboration_graph
+from boxquery.training import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +93,13 @@ class TestConfig:
         cfg = RunConfig(graph_path=str(graph), types_path=str(types))
         assert validate_config(cfg, needs_graph=True) == []
 
+    def test_defaults_are_the_library_defaults(self):
+        cfg = RunConfig()
+        for library in (TrainConfig(), SamplerConfig()):
+            for f in fields(library):
+                if f.name != "quotas":
+                    assert getattr(cfg, f.name) == getattr(library, f.name), f.name
+
     def test_negative_gamma_violation_message(self):
         cfg = RunConfig(gamma=-1.0)
         problems = validate_config(cfg)
@@ -116,8 +125,9 @@ class TestConfig:
         "max_steps": 0,
         "eval_every": 0,
         "patience": 0,
+        "seed": -1,
     }
-    FREE_KEYS = {"out_dir", "typed_negatives", "seed"}
+    FREE_KEYS = {"out_dir", "typed_negatives"}
 
     def test_every_key_is_covered(self):
         keys = {f.name for f in fields(RunConfig)}

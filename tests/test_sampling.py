@@ -90,6 +90,7 @@ class TestSamplerConfig:
             {"val_fraction": -0.1},
             {"quotas": {"4-chain": 3}},
             {"quotas": {"1-chain": -1}},
+            {"seed": -1},
         ],
     )
     def test_validation(self, kwargs):

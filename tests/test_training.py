@@ -65,6 +65,7 @@ class TestTrainConfig:
             {"patience": 0},
             {"aggregation": "avg"},
             {"dim": 0},
+            {"seed": -1},
         ],
     )
     def test_validation(self, kwargs):
