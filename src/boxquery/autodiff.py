@@ -36,10 +36,10 @@ graph, for forward passes whose result nobody differentiates.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.special import expit
 
 # False inside no_grad(): results then keep no parents and no vjp
 _recording = True
@@ -384,10 +384,33 @@ def maximum(a: Tensor2, b: Tensor2) -> Tensor2:
     return Tensor2._result(np.maximum(a.data, b.data), (a, b), vjp)
 
 
+def _expit_scalar(v: float) -> float:
+    try:
+        return 1.0 / (1.0 + math.exp(-v))
+    except OverflowError:  # exp(-v) is inf, so the sigmoid is 0
+        return 0.0
+
+
+def _expit(x: np.ndarray) -> np.ndarray:
+    """Elementwise ``1 / (1 + exp(-x))`` with the C library's ``exp``.
+
+    This is how ``scipy.special.expit`` computes it, bit for bit.  numpy's
+    vectorised ``exp`` rounds differently on some inputs, which would move
+    every trained parameter, so the elements go through ``math.exp`` one by
+    one; the softplus inputs of a step are a few dozen values.
+    """
+    exp = math.exp
+    values = [
+        1.0 / (1.0 + exp(-v)) if v > -700.0 else _expit_scalar(v)
+        for v in x.ravel().tolist()
+    ]
+    return np.array(values, dtype=np.float64).reshape(x.shape)
+
+
 def softplus(x: Tensor2) -> Tensor2:
     """log(1 + exp(x)), the stable form of -log(sigmoid(-x))."""
     return Tensor2._result(
-        np.logaddexp(0.0, x.data), (x,), lambda g: (g * expit(x.data),)
+        np.logaddexp(0.0, x.data), (x,), lambda g: (g * _expit(x.data),)
     )
 
 

@@ -263,17 +263,49 @@ def message_pass(
     ``messages`` (from :func:`query_messages`) give each row its own
     query's relations.
     """
+    return _update_nodes(states, messages, ps, layer, last, range(len(messages)))
+
+
+def _update_nodes(
+    states: list[Tensor2 | None],
+    messages: QueryMessages,
+    ps: ParameterStore,
+    layer: int,
+    last: bool,
+    nodes: Sequence[int],
+) -> list[Tensor2 | None]:
+    """:func:`message_pass` for ``nodes`` only; the other states are None."""
     if not 1 <= layer <= ps.layers:
         raise ConfigurationError(f"layer {layer} outside 1..{ps.layers}")
-    out: list[Tensor2] = []
-    for node, incoming in enumerate(messages):
+    out: list[Tensor2 | None] = [None] * len(messages)
+    for node in nodes:
         acc = ad.matmul(states[node], ps.self_weight(layer))
-        for src, direction, ids, scale in incoming:
+        for src, direction, ids, scale in messages[node]:
             acc = acc + ad.gathered_matmul(
                 states[src], ps.relation_weights(layer, direction), ids, scale
             )
-        out.append(acc if last else ad.relu(acc))
+        out[node] = acc if last else ad.relu(acc)
     return out
+
+
+def _target_rings(tpl: QueryTemplate) -> tuple[tuple[int, ...], ...]:
+    """Entry k: the nodes within k hops of the target over both edge
+    directions, ascending; the last entry holds every node."""
+    hops = [0 if n == tpl.target_node else tpl.num_nodes for n in range(tpl.num_nodes)]
+    for _ in range(tpl.num_nodes):  # relax every edge both ways until settled
+        for s, d in tpl.edges:
+            hops[s] = min(hops[s], hops[d] + 1)
+            hops[d] = min(hops[d], hops[s] + 1)
+    return tuple(
+        tuple(n for n in range(tpl.num_nodes) if hops[n] <= k)
+        for k in range(max(hops) + 1)
+    )
+
+
+# Under the target read-out only the target's final state is read, so a
+# step with k steps after it updates only the nodes within k hops of the
+# target (its dependency cone); no later step reads the others.
+_TARGET_RINGS = {name: _target_rings(tpl) for name, tpl in TEMPLATES.items()}
 
 
 def aggregate(
@@ -339,11 +371,15 @@ def _encode_rows(
         )
     states = node_features(queries, ps)
     messages = query_messages(queries)
+    rings = _TARGET_RINGS[first_query.template]
+    every_node = range(len(states))
     # Shallow queries run the *deepest* layers so that each layer keeps a
     # fixed role (the final layer is always the linear read-out) no matter
     # how many steps a particular query needs.
     for layer in range(ps.layers - steps + 1, ps.layers + 1):
-        states = message_pass(states, messages, ps, layer, last=(layer == ps.layers))
+        after = ps.layers - layer  # steps still to come
+        nodes = rings[min(after, len(rings) - 1)] if method == "tm" else every_node
+        states = _update_nodes(states, messages, ps, layer, after == 0, nodes)
     return aggregate(states, method, first_query, ps)
 
 

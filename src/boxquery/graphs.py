@@ -15,7 +15,7 @@ import logging
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
 
 log = logging.getLogger(__name__)
 
@@ -95,28 +95,59 @@ def build_graph(
 
     Duplicate triples are silently dropped.  Type entries for labels that
     never appear in a triple are reported as warnings and ignored.
+    ``triples`` is read once, so a generator will do.
+    """
+    return _assemble(_index_triples(triples), types)
+
+
+@dataclass
+class _TripleIndex:
+    """The id-level part of a graph, built while the triples stream in."""
+
+    entity_ids: dict[str, int]
+    relation_ids: dict[str, int]
+    edges: tuple[Edge, ...]  # deduplicated, in first-seen order
+    out_index: dict[tuple[int, int], tuple[int, ...]]
+    in_index: dict[tuple[int, int], tuple[int, ...]]
+    in_edges: dict[int, tuple[tuple[int, int], ...]]
+
+
+def _index_triples(triples: Iterable[tuple[str, str, str]]) -> _TripleIndex:
+    """Assign ids, drop duplicate edges and fill the adjacency indices in
+    one pass, holding no label triple past its own line.
+
+    ``in_edges`` holds the very ``(h, r)`` tuples that key ``out_index``.
     """
     entity_ids: dict[str, int] = {}
     relation_ids: dict[str, int] = {}
-    edges: list[Edge] = []
-    seen: set[Edge] = set()
+    edges: dict[Edge, None] = {}  # an ordered set
+    out_index: dict[tuple[int, int], list] = {}
+    in_index: dict[tuple[int, int], list] = {}
+    in_edges: dict[int, list] = {}
+    pairs: dict[tuple[int, int], tuple[int, int]] = {}  # one tuple per (h, r)
+    for h_label, r_label, t_label in triples:
+        h = entity_ids.setdefault(h_label, len(entity_ids))
+        r = relation_ids.setdefault(r_label, len(relation_ids))
+        t = entity_ids.setdefault(t_label, len(entity_ids))
+        edge = (h, r, t)
+        if edge in edges:
+            continue
+        edges[edge] = None
+        hr = pairs.setdefault((h, r), (h, r))
+        out_index.setdefault(hr, []).append(t)
+        in_index.setdefault((t, r), []).append(h)
+        in_edges.setdefault(t, []).append(hr)
+    for index in (out_index, in_index, in_edges):
+        for key, values in index.items():
+            index[key] = tuple(values)
+    return _TripleIndex(
+        entity_ids, relation_ids, tuple(edges), out_index, in_index, in_edges
+    )
 
-    def eid(label: str) -> int:
-        if label not in entity_ids:
-            entity_ids[label] = len(entity_ids)
-        return entity_ids[label]
 
-    def rid(label: str) -> int:
-        if label not in relation_ids:
-            relation_ids[label] = len(relation_ids)
-        return relation_ids[label]
-
-    for h, r, t in triples:
-        edge = (eid(h), rid(r), eid(t))
-        if edge not in seen:
-            seen.add(edge)
-            edges.append(edge)
-
+def _assemble(index: _TripleIndex, types: dict[str, str] | None) -> KnowledgeGraph:
+    """Attach entity types to indexed triples and freeze the graph."""
+    entity_ids = index.entity_ids
     type_ids: dict[str, int] = {}
     if types:
         for label, type_label in types.items():
@@ -133,24 +164,16 @@ def build_graph(
     else:
         entity_types = [0] * len(entity_ids)  # untyped id is 0 when no map given
 
-    out_index: dict[tuple[int, int], list[int]] = {}
-    in_index: dict[tuple[int, int], list[int]] = {}
-    in_edges: dict[int, list[tuple[int, int]]] = {}
-    for h, r, t in edges:
-        out_index.setdefault((h, r), []).append(t)
-        in_index.setdefault((t, r), []).append(h)
-        in_edges.setdefault(t, []).append((h, r))
-
     return KnowledgeGraph(
         entity_labels=tuple(entity_ids),
-        relation_labels=tuple(relation_ids),
+        relation_labels=tuple(index.relation_ids),
         type_labels=tuple(type_ids),
         entity_types=tuple(entity_types),
-        edges=tuple(edges),
-        edge_set=frozenset(edges),
-        out_index={k: tuple(v) for k, v in out_index.items()},
-        in_index={k: tuple(v) for k, v in in_index.items()},
-        in_edges={k: tuple(v) for k, v in in_edges.items()},
+        edges=index.edges,
+        edge_set=frozenset(index.edges),
+        out_index=index.out_index,
+        in_index=index.in_index,
+        in_edges=index.in_edges,
     )
 
 
@@ -215,16 +238,21 @@ def load_graph(
     """
     if fmt not in ("tsv", "ntriples"):
         raise ValueError(f"unknown format: {fmt!r}")
-    triples: list[tuple[str, str, str]] = []
-    for number, line in _read_lines(Path(triples_path)):
+    # the triples are indexed before the types file is opened, so a
+    # malformed triples line is reported first
+    index = _index_triples(_parse_triples(Path(triples_path), fmt))
+    types = load_types(types_path) if types_path else None
+    return _assemble(index, types)
+
+
+def _parse_triples(path: Path, fmt: str) -> Iterator[tuple[str, str, str]]:
+    for number, line in _read_lines(path):
         if fmt == "tsv":
-            triples.append(_parse_tsv_triple(line, number))
+            yield _parse_tsv_triple(line, number)
         else:
             parsed = _parse_ntriples_line(line, number)
             if parsed is not None:
-                triples.append(parsed)
-    types = load_types(types_path) if types_path else None
-    return build_graph(triples, types)
+                yield parsed
 
 
 def save_graph(

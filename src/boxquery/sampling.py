@@ -71,7 +71,7 @@ class EdgeSplit:
     rng_seed: int
 
     def __post_init__(self):
-        if self.train_edges & self.removed_edges:
+        if not self.train_edges.isdisjoint(self.removed_edges):
             raise ValueError("train and removed edge sets overlap")
 
 
@@ -130,7 +130,7 @@ def split_edges(
     picked = rng.choice(n, size=k, replace=False) if n else []
     removed = frozenset(kg.edges[i] for i in picked)
     return EdgeSplit(
-        train_edges=frozenset(kg.edges) - removed,
+        train_edges=kg.edge_set - removed,
         removed_edges=removed,
         rng_seed=seed,
     )

@@ -420,3 +420,74 @@ class TestNoGrad:
                 assert relu(x)._parents == ()
             assert relu(x)._parents == ()  # the outer block still holds
         assert relu(x)._parents == (x,)
+
+
+class TestExpit:
+    """The softplus adjoint's sigmoid, computed without scipy."""
+
+    EDGES = [
+        0.0, -0.0, np.inf, -np.inf, np.nan,
+        709.78, -709.78, 709.79, -709.79, 745.2, -745.2, 745.13, -745.13,
+        700.0, -700.0, -700.0000000001, 36.7, -36.7,
+        5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e308, -1e308, 1e-16, -1e-16,
+    ]
+
+    def test_same_bits_as_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        rng = np.random.default_rng(0)
+        values = np.concatenate([
+            self.EDGES,
+            rng.normal(0.0, 5.0, 40_000),
+            rng.uniform(-750.0, 750.0, 30_000),
+            rng.standard_cauchy(30_000),
+        ]).reshape(-1, 2)
+        got = ad._expit(values)
+        want = special.expit(values)
+        assert got.shape == values.shape
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_overflow_gives_zero_and_nan_stays_nan(self):
+        got = ad._expit(np.array([[-1e308, -np.inf, np.nan, np.inf]]))
+        assert got[0, 0] == 0.0 and got[0, 1] == 0.0
+        assert np.isnan(got[0, 2]) and got[0, 3] == 1.0
+
+
+NO_SCIPY_SCRIPT = """
+import sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+
+from boxquery import (SamplerConfig, TrainConfig, classify, evaluate,
+                      generate_datasets, split_edges, train)
+from boxquery.synthetic import toy_collaboration_graph
+
+kg = toy_collaboration_graph()
+split = split_edges(kg, 0.10, seed=0)
+instances, _ = generate_datasets(
+    kg, split, SamplerConfig(quotas={"1-chain": 6, "2-inter": 4}, seed=0))
+result = train(kg, {"train": instances, "val": [], "test": []},
+               TrainConfig(aggregation="tm", dim=4, layers=1, max_steps=20, seed=0))
+assert result.steps == 20, result.steps
+report = evaluate(result.ps, instances, mode="both")
+answers = [classify(result.ps, inst.query) for inst in instances]
+loaded = sorted(name for name, module in sys.modules.items()
+                if name.split(".")[0] == "scipy" and module is not None)
+print(len(answers), report.overall["pairwise"], loaded)
+assert not loaded, loaded
+"""
+
+
+def test_package_trains_and_answers_without_scipy():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import boxquery
+
+    env = dict(os.environ)
+    src = str(Path(boxquery.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().endswith("[]")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from boxquery import autodiff as ad
+from boxquery import encoder
 from boxquery.boxes import box_distance_t
 from boxquery.encoder import (
     AGGREGATIONS,
@@ -17,7 +18,9 @@ from boxquery.encoder import (
     query_messages,
 )
 from boxquery.queries import TEMPLATES, instantiate
-from boxquery.synthetic import random_graph, toy_collaboration_graph
+from boxquery.sampling import SamplerConfig, generate_datasets, split_edges
+from boxquery.synthetic import hub_graph, random_graph, toy_collaboration_graph
+from boxquery.training import TrainConfig, train
 
 
 @pytest.fixture(scope="module")
@@ -333,3 +336,99 @@ class TestEncodeMany:
             encode_many(mixed, store)
         with pytest.raises(ValueError):
             encode_many([], store)
+
+
+class TestTargetCone:
+    """Under ``tm`` a step updates only the nodes its later steps read."""
+
+    # per template, the nodes each tm step updates in a 3-layer store
+    CONES = {
+        "1-chain": [[1]],
+        "2-chain": [[1, 2], [2]],
+        "3-chain": [[1, 2, 3], [2, 3], [3]],
+        "2-inter": [[2]],
+        "3-inter": [[3]],
+        "3-inter-chain": [[0, 2, 3], [3]],
+        "3-chain-inter": [[2, 3], [3]],
+    }
+
+    @staticmethod
+    def full_update(monkeypatch):
+        """Make every tm step update every node, as before the cone."""
+        for name, tpl in TEMPLATES.items():
+            monkeypatch.setitem(encoder._TARGET_RINGS, name, (tuple(range(tpl.num_nodes)),))
+
+    @staticmethod
+    def queries(name, rng, count=5):
+        tpl = TEMPLATES[name]
+        out = []
+        for i in range(count):
+            # every other query repeats one relation id on all its edges
+            rels = [2] * tpl.num_edges if i % 2 else rng.integers(0, 3, tpl.num_edges).tolist()
+            out.append(instantiate(name, rng.integers(0, 12, tpl.num_anchors).tolist(), rels))
+        return out
+
+    def test_encode_and_encode_many_keep_their_bits(self, monkeypatch):
+        kg = random_graph(np.random.default_rng(0), n_entities=12, n_relations=3, n_edges=30)
+        ps = init_parameters(kg, dim=3, layers=3, seed=4, aggregation="tm")
+        rng = np.random.default_rng(1)
+        batches = {name: self.queries(name, rng) for name in TEMPLATES}
+
+        def run():
+            boxes = {name: [encode(q, ps).box for q in qs] for name, qs in batches.items()}
+            single = {name: [(b.center.tobytes(), b.offset.tobytes()) for b in bs]
+                      for name, bs in boxes.items()}
+            many = {name: [a.tobytes() for a in encode_many(qs, ps)]
+                    for name, qs in batches.items()}
+            return single, many
+
+        cone = run()
+        with monkeypatch.context() as m:
+            self.full_update(m)
+            full = run()
+        assert cone == full
+
+    def test_training_keeps_its_bits(self, monkeypatch):
+        kg = hub_graph(np.random.default_rng(3), n_entities=300, n_relations=3)
+        split = split_edges(kg, 0.10, seed=3)
+        cfg = SamplerConfig(quotas={name: 8 for name in TEMPLATES}, seed=3)
+        instances, _ = generate_datasets(kg, split, cfg)
+        assert {inst.query.template for inst in instances} == set(TEMPLATES)
+        assert any(len(set(inst.query.relations)) < len(inst.query.relations)
+                   for inst in instances)
+        datasets = {"train": instances, "val": [], "test": []}
+        tc = TrainConfig(aggregation="tm", dim=4, layers=3, max_steps=50, seed=0)
+        cone = train(kg, datasets, tc)
+        with monkeypatch.context() as m:
+            self.full_update(m)
+            full = train(kg, datasets, tc)
+        assert cone.steps == full.steps == 50
+        assert cone.ps.data.tobytes() == full.ps.data.tobytes()
+        assert [row.train_loss for row in cone.history] == [row.train_loss for row in full.history]
+
+    def _updated_nodes(self, monkeypatch, aggregation):
+        kg = random_graph(np.random.default_rng(0), n_entities=12, n_relations=3, n_edges=30)
+        ps = init_parameters(kg, dim=3, layers=3, seed=4, aggregation=aggregation)
+        rng = np.random.default_rng(2)
+        updated = {}
+        real = encoder._update_nodes
+
+        def spy(*args):
+            out = real(*args)
+            updated[current].append([node for node, s in enumerate(out) if s is not None])
+            return out
+
+        monkeypatch.setattr(encoder, "_update_nodes", spy)
+        for current in TEMPLATES:
+            updated[current] = []
+            encode_many(self.queries(current, rng, count=2), ps)
+        return updated
+
+    def test_nodes_outside_the_cone_are_not_computed(self, monkeypatch):
+        assert self._updated_nodes(monkeypatch, "tm") == self.CONES
+
+    def test_other_aggregations_update_every_node(self, monkeypatch):
+        for aggregation in ("sum", "max", "mlp"):
+            updated = self._updated_nodes(monkeypatch, aggregation)
+            assert updated == {name: [list(range(tpl.num_nodes))] * 3
+                               for name, tpl in TEMPLATES.items()}

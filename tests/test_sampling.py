@@ -24,7 +24,8 @@ from boxquery.sampling import (
     split_edges,
     write_datasets,
 )
-from boxquery.synthetic import hub_graph, toy_collaboration_graph
+from boxquery import sampling
+from boxquery.synthetic import clustered_graph, hub_graph, toy_collaboration_graph
 
 
 @pytest.fixture(scope="module")
@@ -70,8 +71,22 @@ class TestSplitEdges:
 
     def test_overlapping_sets_rejected(self, kg):
         e = kg.edges[0]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="train and removed edge sets overlap"):
             EdgeSplit(frozenset([e]), frozenset([e]), rng_seed=0)
+
+    @pytest.mark.parametrize("generator, entities", [
+        (clustered_graph, 200), (clustered_graph, 4000), (hub_graph, 2000),
+    ])
+    def test_split_equals_the_copying_formula(self, generator, entities):
+        kg = generator(np.random.default_rng(3), n_entities=entities)
+        split = split_edges(kg, 0.10, seed=3)
+        rng = np.random.default_rng(np.random.SeedSequence([3, sampling._SPLIT_STREAM]))
+        picked = rng.choice(len(kg.edges), size=len(split.removed_edges), replace=False)
+        removed = frozenset(kg.edges[i] for i in picked)
+        train = frozenset(kg.edges) - removed
+        assert split.removed_edges == removed
+        assert split.train_edges == train
+        assert list(split.train_edges) == list(train)  # same iteration order too
 
 
 class TestSamplerConfig:
