@@ -61,7 +61,9 @@ with tempfile.TemporaryDirectory() as tmp:
     print("TSV on disk:")
     print(triples_path.read_text(), end="")
     again = load_graph(triples_path, types_path)
-    print("reloaded edges match:", again.edges == kg.edges)
+    same = again.edges == kg.edges
+    print("reloaded edges match:", same)
+    assert same, "the reloaded graph's edges differ from the saved ones"
 
     # the same loader accepts N-Triples, the native format of RDF dumps
     nt_path = Path(tmp) / "graph.nt"

@@ -3,8 +3,9 @@
 A query is a little DAG whose leaves are bound to concrete entities
 (anchors) and whose single target node collects the answers.  Running it
 against a graph is plain subgraph matching, and the package ships two
-independent implementations: a backtracking executor and a brute-force
-enumerator kept around as its oracle.
+independent implementations: a set-propagation executor, exact because
+every shape is an in-tree, and a brute-force enumerator kept around as
+its oracle.
 """
 
 from boxquery.queries import (
@@ -36,7 +37,9 @@ print("== a two-anchor query ==")
 print("projects related to a topic both Alice and Bob work on")
 strict = execute(kg, q)
 print("strict answers:   ", sorted(names[e] for e in strict))
-print("oracle agrees:    ", execute_by_enumeration(kg, q) == strict)
+agrees = execute_by_enumeration(kg, q) == strict
+print("oracle agrees:    ", agrees)
+assert agrees, "the executor and the enumeration oracle disagree"
 
 # weakening the intersection ("a topic Alice OR Bob works on") admits more
 # answers; the surplus makes good hard negatives for training

@@ -67,3 +67,4 @@ with tempfile.TemporaryDirectory() as tmp:
     files = ["train.jsonl", "val.jsonl", "test.jsonl", "manifest.json"]
     match, mismatch, _ = filecmp.cmpfiles(*dirs, files, shallow=False)
     print(f"regenerated twice: {len(match)}/{len(files)} files byte-identical")
+    assert match == files, f"regenerated files differ: {mismatch}"

@@ -290,28 +290,20 @@ def evaluate(
                 metrics.pair_wins += _pair_wins(pos, neg)
                 metrics.pairs += pos.size * neg.size
 
-    overall_conf = ConfusionMatrix()
-    overall_wins, overall_pairs = 0.0, 0
+    total = TemplateMetrics(confusion=ConfusionMatrix() if want_cls else None)
     for m in per_template.values():
-        if m.confusion is not None:
-            overall_conf = overall_conf + m.confusion
-        overall_wins += m.pair_wins
-        overall_pairs += m.pairs
-    overall: dict = {"queries": len(instances)}
-    if want_cls:
-        overall["confusion"] = {
-            "tp": overall_conf.tp,
-            "fp": overall_conf.fp,
-            "fn": overall_conf.fn,
-            "tn": overall_conf.tn,
-        }
-        overall["precision"] = overall_conf.precision
-        overall["recall"] = overall_conf.recall
-        overall["f1"] = overall_conf.f1
-    overall["pairwise"] = (
-        100.0 * overall_wins / overall_pairs if overall_pairs else None
-    )
-    overall["pairs"] = overall_pairs
+        total.queries += m.queries
+        if want_cls:
+            total.confusion = total.confusion + m.confusion
+        total.pair_wins += m.pair_wins
+        total.pairs += m.pairs
+    # the overall row has no negative pool, and in ranking mode no
+    # classification keys at all
+    overall = total.to_dict()
+    del overall["mean_negative_pool"]
+    if not want_cls:
+        for key in ("confusion", "precision", "recall", "f1"):
+            del overall[key]
 
     return EvalReport(
         method=method,

@@ -1,4 +1,4 @@
-"""Conjunctive queries as DAGs plus an exact (brute-force) executor.
+"""Conjunctive queries as DAGs plus an exact executor.
 
 A query is a small directed acyclic graph with one target node, anchor
 nodes bound to concrete entities, and existential variable nodes in
@@ -6,16 +6,17 @@ between.  Edges are directed toward the target and labeled with relation
 ids: the edge (s, r, d) asserts the predicate r(s, d).  Seven fixed shapes
 are supported, from single-hop chains to three-way intersections.
 
-Execution is exhaustive search over the graph's adjacency indices, never a
-learned score, so the result is the ground-truth answer set of the query
-on the given graph.
+Every shape is an in-tree, so one forward pass of entity sets from the
+anchors to the target answers it exactly, over the graph's adjacency
+indices and never with a learned score: intersecting the sets where edges
+meet gives the ground-truth answers, uniting them gives the relaxed ones.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .graphs import KnowledgeGraph
@@ -29,6 +30,10 @@ class UnsupportedTemplateError(ValueError):
     """Operation requires an intersection but the query is a pure chain."""
 
 
+def _derived():
+    return field(init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True)
 class QueryTemplate:
     """One of the seven query shapes.
@@ -36,23 +41,63 @@ class QueryTemplate:
     ``roles`` assigns anchor/variable/target to node indices; ``edges``
     lists (src, dst) node pairs directed toward the target.  Relation slots
     are ordered like ``edges``.
+
+    The shape must be an in-tree: every node but the one target has exactly
+    one outgoing edge, the anchors are exactly the nodes without an incoming
+    edge, and every edge into a node is listed before that node's outgoing
+    edge.  The shape facts below are worked out once, at construction.
     """
 
     name: str
     roles: tuple[str, ...]
     edges: tuple[tuple[int, int], ...]
+    anchor_nodes: tuple[int, ...] = _derived()
+    target_node: int = _derived()
+    has_intersection: bool = _derived()
+    diameter: int = _derived()  # longest anchor-to-target path, in edges
+    topo_order: tuple[int, ...] = _derived()
+
+    def __post_init__(self):
+        fan_in = [0] * len(self.roles)
+        fan_out = [0] * len(self.roles)
+        depth = [0] * len(self.roles)
+        for s, d in self.edges:
+            fan_out[s] += 1
+            if fan_out[d]:  # a self-loop fails here too
+                raise ValueError(
+                    f"template {self.name}: an edge into node {d} is listed "
+                    "after its outgoing edge"
+                )
+            fan_in[d] += 1
+            depth[d] = max(depth[d], depth[s] + 1)
+        if self.roles.count("target") != 1 or fan_out != [
+            int(r != "target") for r in self.roles
+        ]:
+            raise ValueError(
+                f"template {self.name} is not an in-tree: every node but the "
+                "one target needs exactly one outgoing edge"
+            )
+        if [r == "anchor" for r in self.roles] != [c == 0 for c in fan_in]:
+            raise ValueError(
+                f"template {self.name}: the anchors must be exactly the nodes "
+                "without an incoming edge"
+            )
+        anchors = tuple(n for n, c in enumerate(fan_in) if c == 0)
+        # a node is ready once the last of its incoming edges is listed
+        last_in = {d: i for i, (_, d) in enumerate(self.edges)}
+        target = self.roles.index("target")
+        for name, value in (
+            ("anchor_nodes", anchors),
+            ("target_node", target),
+            ("has_intersection", max(fan_in) >= 2),
+            ("diameter", depth[target]),
+            ("topo_order", anchors + tuple(sorted(last_in, key=last_in.get))),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def num_nodes(self) -> int:
         return len(self.roles)
-
-    @property
-    def anchor_nodes(self) -> tuple[int, ...]:
-        return tuple(i for i, r in enumerate(self.roles) if r == "anchor")
-
-    @property
-    def target_node(self) -> int:
-        return self.roles.index("target")
 
     @property
     def num_anchors(self) -> int:
@@ -61,21 +106,6 @@ class QueryTemplate:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
-
-    @property
-    def has_intersection(self) -> bool:
-        fan_in = [0] * self.num_nodes
-        for _, d in self.edges:
-            fan_in[d] += 1
-        return any(c >= 2 for c in fan_in)
-
-    @property
-    def diameter(self) -> int:
-        """Longest anchor-to-target path length, in edges."""
-        depth = [0] * self.num_nodes
-        for s, d in self.edges:  # edges are listed in topological order
-            depth[d] = max(depth[d], depth[s] + 1)
-        return depth[self.target_node]
 
 
 TEMPLATES: dict[str, QueryTemplate] = {
@@ -182,69 +212,38 @@ def _check_ids(kg: KnowledgeGraph, q: QueryGraph) -> None:
             raise KeyError(f"unknown relation id: {r}")
 
 
-def execute(kg: KnowledgeGraph, q: QueryGraph) -> frozenset[int]:
-    """All entities the target variable can bind to, by backtracking.
+def _propagate(kg: KnowledgeGraph, q: QueryGraph, relaxed: bool) -> frozenset[int]:
+    """Entity sets carried from the anchors to the target, in edge order.
 
-    Nodes are assigned in topological order from the anchors; each new
-    node's candidates come from intersecting the adjacency lists of its
-    already-assigned neighbors.  Variables may bind to any entity,
-    including anchors or each other (plain conjunctive semantics).
+    Each edge maps its source's set through the graph's out-adjacency; where
+    several edges meet at a node, their sets are intersected, or united when
+    ``relaxed``.  Exact because the template is an in-tree whose edges into
+    a node are listed before the node's outgoing edge.
+    """
+    tpl = q.shape
+    sets: dict[int, set[int]] = {n: {a} for n, a in zip(tpl.anchor_nodes, q.anchors)}
+    for (s, d), r in zip(tpl.edges, q.relations):
+        reach: set[int] = set()
+        for v in sets[s]:
+            reach.update(kg.out_index.get((v, r), ()))
+        if d not in sets:
+            sets[d] = reach
+        elif relaxed:
+            sets[d] |= reach
+        else:
+            sets[d] &= reach
+    return frozenset(sets[tpl.target_node])
+
+
+def execute(kg: KnowledgeGraph, q: QueryGraph) -> frozenset[int]:
+    """All entities the target variable can bind to.
+
+    Variables may bind to any entity, including anchors or each other
+    (plain conjunctive semantics).  Unknown entity or relation ids raise
+    ``KeyError``.
     """
     _check_ids(kg, q)
-    tpl = q.shape
-    edges = q.edge_list()
-    assignment: dict[int, int] = dict(q.node_bindings())
-    # topological order guarantees every new node touches an assigned one
-    order = [n for n in _topo_order(tpl) if n not in assignment]
-    target = tpl.target_node
-    results: set[int] = set()
-
-    def consistent_candidates(node: int) -> set[int] | None:
-        cands: set[int] | None = None
-        for s, r, d in edges:
-            if d == node and s in assignment:
-                step = set(kg.out_index.get((assignment[s], r), ()))
-            elif s == node and d in assignment:
-                step = set(kg.in_index.get((assignment[d], r), ()))
-            else:
-                continue
-            cands = step if cands is None else cands & step
-            if not cands:
-                return set()
-        return cands
-
-    def backtrack(i: int) -> None:
-        if i == len(order):
-            results.add(assignment[target])
-            return
-        node = order[i]
-        cands = consistent_candidates(node)
-        if cands is None:
-            # disconnected node; cannot happen for the seven templates
-            cands = set(range(kg.num_entities))
-        for value in cands:
-            assignment[node] = value
-            backtrack(i + 1)
-            del assignment[node]
-
-    backtrack(0)
-    return frozenset(results)
-
-
-def _topo_order(tpl: QueryTemplate) -> list[int]:
-    fan_in = [0] * tpl.num_nodes
-    for _, d in tpl.edges:
-        fan_in[d] += 1
-    order = [n for n in range(tpl.num_nodes) if fan_in[n] == 0]
-    placed = set(order)
-    while len(order) < tpl.num_nodes:
-        for s, d in tpl.edges:
-            if s in placed and d not in placed:
-                ready = all(x in placed for x, y in tpl.edges if y == d)
-                if ready:
-                    order.append(d)
-                    placed.add(d)
-    return order
+    return _propagate(kg, q, relaxed=False)
 
 
 def execute_by_enumeration(kg: KnowledgeGraph, q: QueryGraph) -> frozenset[int]:
@@ -279,35 +278,11 @@ def execute_relaxed(kg: KnowledgeGraph, q: QueryGraph) -> frozenset[int]:
     difference ``execute_relaxed - execute`` is the hard-negative pool.
     """
     _check_ids(kg, q)
-    tpl = q.shape
-    if not tpl.has_intersection:
+    if not q.shape.has_intersection:
         raise UnsupportedTemplateError(
             f"{q.template} has no intersection node to relax"
         )
-    edges = q.edge_list()
-    bound = q.node_bindings()
-    # The seven templates are in-trees (every node has at most one outgoing
-    # edge), so forward set propagation from the anchors is exact.
-    for node in range(tpl.num_nodes):
-        if sum(1 for s, _ in tpl.edges if s == node) > 1:
-            raise UnsupportedTemplateError("relaxed execution requires an in-tree")
-    possible: dict[int, set[int]] = {n: {v} for n, v in bound.items()}
-    for node in _topo_order(tpl):
-        if node in possible:
-            continue
-        branches = []
-        for s, r, d in edges:
-            if d != node:
-                continue
-            reach: set[int] = set()
-            for v in possible[s]:
-                reach.update(kg.out_index.get((v, r), ()))
-            branches.append(reach)
-        union: set[int] = set()
-        for b in branches:
-            union.update(b)
-        possible[node] = union
-    return frozenset(possible[tpl.target_node])
+    return _propagate(kg, q, relaxed=True)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ from .queries import (
     TEMPLATE_NAMES,
     TEMPLATES,
     QueryInstance,
-    _topo_order,
     execute,
     execute_relaxed,
     instance_from_json,
@@ -177,7 +176,7 @@ def sample_query(
         by_head.setdefault(dst, []).append(i)
 
     first = True
-    for node in reversed(_topo_order(tpl)):
+    for node in reversed(tpl.topo_order):
         pattern_edges = by_head.get(node, [])
         if not pattern_edges:
             continue

@@ -6,6 +6,7 @@ from boxquery.queries import (
     TEMPLATE_NAMES,
     TEMPLATES,
     ArityError,
+    QueryTemplate,
     UnsupportedTemplateError,
     execute,
     execute_by_enumeration,
@@ -31,6 +32,36 @@ def q_works_topic_project(kg):
     )
 
 
+DIAMETERS = {
+    "1-chain": 1,
+    "2-chain": 2,
+    "3-chain": 3,
+    "2-inter": 1,
+    "3-inter": 1,
+    "3-inter-chain": 2,
+    "3-chain-inter": 2,
+}
+
+INTERSECTION_TEMPLATES = ("2-inter", "3-inter", "3-inter-chain", "3-chain-inter")
+
+
+def kahn_order(tpl):
+    """Nodes in topological order: sources first, then each node once all
+    of its predecessors are placed, scanning the edges in listed order."""
+    fan_in = [0] * tpl.num_nodes
+    for _, d in tpl.edges:
+        fan_in[d] += 1
+    order = [n for n in range(tpl.num_nodes) if fan_in[n] == 0]
+    placed = set(order)
+    while len(order) < tpl.num_nodes:
+        for s, d in tpl.edges:
+            if s in placed and d not in placed:
+                if all(x in placed for x, y in tpl.edges if y == d):
+                    order.append(d)
+                    placed.add(d)
+    return tuple(order)
+
+
 class TestTemplates:
     def test_seven_shapes(self):
         assert len(TEMPLATES) == 7
@@ -47,23 +78,43 @@ class TestTemplates:
                 touched.update((s, d))
             assert touched == set(range(tpl.num_nodes))
 
-    @pytest.mark.parametrize(
-        "name,expected",
-        [
-            ("1-chain", 1),
-            ("2-chain", 2),
-            ("3-chain", 3),
-            ("2-inter", 1),
-            ("3-inter", 1),
-            ("3-inter-chain", 2),
-            ("3-chain-inter", 2),
-        ],
-    )
+    @pytest.mark.parametrize("name,expected", list(DIAMETERS.items()))
     def test_diameter(self, name, expected, kg_t):
         tpl = TEMPLATES[name]
         anchors = [kg_t.entity_id("Alice")] * tpl.num_anchors
         rels = [kg_t.relation_id("works_on")] * tpl.num_edges
         assert instantiate(name, anchors, rels).shape.diameter == expected
+
+    @pytest.mark.parametrize("name", TEMPLATE_NAMES)
+    def test_shape_facts_match_recomputation(self, name):
+        tpl = TEMPLATES[name]
+        fan_in = [0] * tpl.num_nodes
+        depth = [0] * tpl.num_nodes
+        for s, d in tpl.edges:
+            fan_in[d] += 1
+            depth[d] = max(depth[d], depth[s] + 1)
+        assert tpl.anchor_nodes == tuple(
+            i for i, r in enumerate(tpl.roles) if r == "anchor"
+        )
+        assert tpl.target_node == tpl.roles.index("target")
+        assert tpl.has_intersection == any(c >= 2 for c in fan_in)
+        assert tpl.diameter == depth[tpl.target_node] == DIAMETERS[name]
+        assert tpl.topo_order == kahn_order(tpl)
+
+    @pytest.mark.parametrize(
+        "name,roles,edges",
+        [
+            # node 0 has two outgoing edges
+            ("fork", ("anchor", "variable", "target"), ((0, 1), (0, 2), (1, 2))),
+            # the edge into node 1 comes after node 1's outgoing edge
+            ("late", ("anchor", "variable", "target"), ((1, 2), (0, 1))),
+            # an anchor with an incoming edge
+            ("fed", ("anchor", "anchor", "target"), ((0, 1), (1, 2))),
+        ],
+    )
+    def test_invariant_violations_rejected(self, name, roles, edges):
+        with pytest.raises(ValueError, match=name):
+            QueryTemplate(name, roles, edges)
 
     def test_arity_mismatch(self, kg_t):
         with pytest.raises(ArityError):
@@ -157,6 +208,32 @@ class TestRelaxed:
                     rng.integers(0, kg.num_relations, size=tpl.num_edges),
                 )
                 assert execute(kg, q) <= execute_relaxed(kg, q)
+
+
+    def test_union_of_anchor_chains(self):
+        """On an in-tree the relaxed answers are the union, over anchors, of
+        the chain query along each anchor's path to the target."""
+        rng = np.random.default_rng(11)
+        for _ in range(15):
+            n = int(rng.integers(5, 20))
+            kg = random_graph(rng, n, int(rng.integers(1, 4)), 4 * n)
+            for name in INTERSECTION_TEMPLATES:
+                tpl = TEMPLATES[name]
+                q = instantiate(
+                    name,
+                    rng.integers(0, kg.num_entities, size=tpl.num_anchors),
+                    rng.integers(0, kg.num_relations, size=tpl.num_edges),
+                )
+                out_edge = {s: (d, r) for (s, d), r in zip(tpl.edges, q.relations)}
+                union: set[int] = set()
+                for node, anchor in zip(tpl.anchor_nodes, q.anchors):
+                    relations = []
+                    while node != tpl.target_node:
+                        node, r = out_edge[node]
+                        relations.append(r)
+                    chain = instantiate(f"{len(relations)}-chain", [anchor], relations)
+                    union |= execute_by_enumeration(kg, chain)
+                assert execute_relaxed(kg, q) == union, (name, q.anchors, q.relations)
 
 
 class TestOracleAgreement:
