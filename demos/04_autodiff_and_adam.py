@@ -30,10 +30,11 @@ for step in range(1, 301):
     err = ad.affine(x, w, b) - y_true
     loss = ad.mean_all(ad.absolute(err))
     loss.backward()
-    adam_step(params, None, opt)
+    adam_step(opt)
     if step % 75 == 0:
         print(f"step {step:3d}: loss={loss.item():.6f} "
               f"w={w.data[0, 0]:+.4f} b={b.data[0, 0]:+.4f}")
+assert abs(w.data[0, 0] - 3.0) < 0.02 and abs(b.data[0, 0] + 1.0) < 0.02, "the fit missed y = 3x - 1"
 
 # --- adjoints accumulate ---------------------------------------------------
 print()
@@ -43,6 +44,7 @@ v = tensor([[2.0]], requires_grad=True)
 first = v.grad.copy()
 (ad.matmul(v, v)).backward()          # second graph adds another +4
 print(f"after one backward: grad={first[0, 0]}, after two: {v.grad[0, 0]}")
+assert first[0, 0] == 4.0 and v.grad[0, 0] == 8.0, "a second backward did not double the gradient"
 print("grads add across graphs until zero_grads(), exactly like larger frameworks")
 
 # --- trust, but verify -----------------------------------------------------
@@ -51,3 +53,4 @@ print("== gradient check ==")
 t = tensor(rng.normal(size=(3, 3)) + 2.0, requires_grad=True)  # away from kinks
 err = finite_diff_check(lambda: ad.sum_all(ad.softplus(ad.relu(t))), [t])
 print(f"max relative error vs central differences: {err:.2e}")
+assert err < 1e-6, "backward disagrees with central differences"

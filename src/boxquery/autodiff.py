@@ -26,9 +26,11 @@ Every tensor marks the rows of ``.grad`` that may be nonzero
 marks :data:`ANY_ROW`.  :meth:`Tensor2.zero_grad` zeroes only the marked
 rows, and :func:`adam_step` skips the gradient terms of unmarked rows.
 
-Parameters can be packed (:func:`pack_tensors`): their data and gradients
-become views into two flat buffers, which lets :func:`adam_step` update
-every parameter in one pass.
+An :class:`AdamState` owns the layout of its parameters: it moves their
+data and gradients into two flat buffers (:func:`pack_tensors`), so that
+:func:`adam_step` updates every parameter in one pass, and it reads
+gradients from that buffer alone.  Gradients reach it only through the
+tensors' own ``.grad`` views and their row marks.
 
 Inside :func:`no_grad` operations compute the same values but record no
 graph, for forward passes whose result nobody differentiates.
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from itertools import accumulate
 
 import numpy as np
 
@@ -532,52 +535,20 @@ def _views(buffer: np.ndarray, params: list[Tensor2]) -> list[np.ndarray]:
     return out
 
 
-def _tiled(arrays: list) -> np.ndarray | None:
-    """The flat float64 buffer that ``arrays`` cover back to back, if any."""
-    if not arrays or any(a is None for a in arrays):
-        return None
-    base = arrays[0].base
-    if not (
-        isinstance(base, np.ndarray)
-        and base.ndim == 1
-        and base.dtype == np.float64
-        and base.flags.c_contiguous
-    ):
-        return None
-    address = base.__array_interface__["data"][0]
-    for a in arrays:
-        if (
-            a.base is not base
-            or not a.flags.c_contiguous
-            or a.__array_interface__["data"][0] != address
-        ):
-            return None
-        address += a.nbytes
-    return base if address == base.__array_interface__["data"][0] + base.nbytes else None
-
-
 def pack_tensors(params) -> tuple[np.ndarray, np.ndarray]:
-    """Hold the tensors' data and gradients in two flat float64 buffers.
+    """Move the tensors' data and gradients into two fresh flat buffers.
 
     Afterwards every ``.data`` and ``.grad`` is a view into the returned
     (data, grad) buffers, laid out back to back in the given order.
-    Values are kept and a missing gradient becomes zeros.  Arrays that
-    already tile one buffer in this order stay where they are, so packing
-    twice changes nothing.
+    Values are kept and a missing gradient becomes zeros.
     """
     params = list(params)
-    data = _tiled([p.data for p in params])
-    if data is None:
-        data = np.concatenate([p.data.ravel() for p in params]) if params else np.zeros(0)
-        for p, view in zip(params, _views(data, params)):
-            p.data = view
-    grad = _tiled([p.grad for p in params])
-    if grad is None:
-        grad = np.zeros_like(data)
-        for p, view in zip(params, _views(grad, params)):
-            if p.grad is not None:
-                view[...] = p.grad
-            p.grad = view
+    data = np.concatenate([p.data.ravel() for p in params]) if params else np.zeros(0)
+    grad = np.zeros_like(data)
+    for p, d, g in zip(params, _views(data, params), _views(grad, params)):
+        if p.grad is not None:
+            g[...] = p.grad
+        p.data, p.grad = d, g
     return data, grad
 
 
@@ -592,57 +563,50 @@ _ADAM_CHUNK = 1 << 15
 
 
 class AdamState:
-    """First/second moment buffers plus the step counter for Adam.
+    """The packed parameters, their moment buffers and the step counter.
 
-    Building the state packs ``params`` (:func:`pack_tensors`); ``m_flat``
-    and ``v_flat`` are laid out like the packed parameters, and ``m`` and
-    ``v`` are their per-tensor views.
+    Building the state moves ``params`` into two fresh flat buffers
+    (:func:`pack_tensors`): ``data`` and ``grad``, which every tensor's
+    ``.data`` and ``.grad`` view.  ``m_flat`` and ``v_flat`` have the same
+    layout, and ``m`` and ``v`` are their per-tensor views.  The state is
+    the one owner of that layout: a later ``AdamState`` over the same
+    tensors moves them again, and this one then refuses to step.
     """
 
     def __init__(self, params, lr: float = 0.01, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
-        params = list(params)
+        self.params = list(params)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._data, self._grad = pack_tensors(params)
-        self._data_views = [p.data for p in params]
-        self._grad_views = [p.grad for p in params]
-        self.m_flat = np.zeros_like(self._data)
-        self.v_flat = np.zeros_like(self._data)
-        self.m = _views(self.m_flat, params)
-        self.v = _views(self.v_flat, params)
-        self._spans = []  # (start, stop) of each tensor in the flat buffers
-        start = 0
-        for p in params:
-            self._spans.append((start, start + p.data.size))
-            start += p.data.size
+        self.data, self.grad = pack_tensors(self.params)
+        self._data_views = [p.data for p in self.params]
+        self._grad_views = [p.grad for p in self.params]
+        self.m_flat = np.zeros_like(self.data)
+        self.v_flat = np.zeros_like(self.data)
+        self.m = _views(self.m_flat, self.params)
+        self.v = _views(self.v_flat, self.params)
+        ends = list(accumulate(p.data.size for p in self.params))
+        self._spans = list(zip([0] + ends, ends))  # of each tensor in the flat buffers
         # per tensor, whether its moments were seen nonzero; only tensors
         # not seen so are checked again, and a stale True costs time only
-        self._moving = [False] * len(params)
-        self._scratch = np.empty((2, min(_ADAM_CHUNK, self._data.size)))
+        self._moving = [False] * len(self.params)
+        self._scratch = np.empty((2, min(_ADAM_CHUNK, self.data.size)))
 
-
-def _flat_grads(params: list[Tensor2], grads, state: AdamState) -> np.ndarray:
-    """The packed gradient buffer, or a copy of ``grads`` laid out like it."""
-    if grads is None:
-        grads = [p.grad for p in params]
-    else:
-        grads = list(grads)
-        if len(grads) != len(params):
-            raise ValueError("params, grads, and optimizer state are not aligned")
-    if all(g is own for g, own in zip(grads, state._grad_views)):
-        return state._grad
-    flat = np.zeros_like(state._grad)
-    for p, g, view in zip(params, grads, _views(flat, params)):
-        if g is None:
-            continue
-        if g.shape != p.data.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter {p.data.shape}")
-        view[...] = g
-    return flat
+    def check_views(self) -> None:
+        """Raise ``ValueError`` naming the first tensor whose ``.data`` or
+        ``.grad`` is no longer a view into this state's buffers."""
+        for i, (p, data, grad) in enumerate(
+            zip(self.params, self._data_views, self._grad_views)
+        ):
+            moved = "data" if p.data is not data else "grad" if p.grad is not grad else None
+            if moved:
+                raise ValueError(
+                    f"parameter {i} (shape {p.rows}x{p.cols}): .{moved} is no longer a"
+                    " view into this optimizer's buffer; write into it in place instead"
+                )
 
 
 def _adam_update(data, m, v, g, a, b, coefs) -> None:
@@ -668,18 +632,18 @@ def _adam_update(data, m, v, g, a, b, coefs) -> None:
     data -= b
 
 
-def adam_step(params, grads, state: AdamState) -> None:
-    """One bias-corrected Adam update, in place on ``p.data``.
+def adam_step(state: AdamState) -> None:
+    """One bias-corrected Adam update of the state's tensors, in place.
 
-    ``params`` are the tensors ``state`` was built from.  ``grads`` may be
-    None to read each parameter's ``.grad`` buffer (missing buffers count
-    as zero gradients).  Every element sees the same operations in the
-    same order as the textbook per-tensor form, or operations that give
-    the same bits, so results match it bit for bit.
+    The gradients are the packed ``grad`` buffer and its row marks (see
+    :class:`Tensor2`); a tensor whose ``.data`` or ``.grad`` was reassigned
+    since the state was built raises ``ValueError`` naming it (see
+    :meth:`AdamState.check_views`).  Every element sees the same
+    operations in the same order as the textbook per-tensor form, or
+    operations that give the same bits, so results match it bit for bit.
 
-    When the gradients are the packed buffer, their row marks (see
-    :class:`Tensor2`) select one of three updates per tensor, in one pass
-    over the packed buffers, a chunk at a time:
+    The row marks select one of three updates per tensor, in one pass over
+    the packed buffers, a chunk at a time:
 
     - every row marked: the full update;
     - no row marked: the gradient-free update, without the two additions
@@ -688,10 +652,9 @@ def adam_step(params, grads, state: AdamState) -> None:
     - some rows marked: those rows are gathered and take the full update,
       the rest of the table the gradient-free one.
 
-    Gradients held elsewhere (explicit ``grads`` arrays, or a ``.grad``
-    assigned since packing) count as every row marked.  Why the shortcuts are
-    exact, for ``0.5 < beta1 < 1``, ``0 <= beta2 < 1``, ``lr >= 0`` and
-    ``eps > 0`` (outside that range every tensor takes the full update):
+    Why the shortcuts are exact, for ``0.5 < beta1 < 1``,
+    ``0 <= beta2 < 1``, ``lr >= 0`` and ``eps > 0`` (outside that range
+    every tensor takes the full update):
 
     - ``m`` and ``v`` start at +0.0, and ``x + y`` is -0.0 only when both
       are, so the full update never makes a moment -0.0.  Nor does the
@@ -703,24 +666,18 @@ def adam_step(params, grads, state: AdamState) -> None:
     - With ``m = v = g = 0`` the update subtracts +0.0, which leaves every
       value unchanged, -0.0 included, and the moments stay +0.0.
     """
-    params = list(params)
-    if len(params) != len(state.m) or any(
-        p.data is not own for p, own in zip(params, state._data_views)
-    ):
-        raise ValueError("params, grads, and optimizer state are not aligned")
-    grad = _flat_grads(params, grads, state)
+    state.check_views()
     state.t += 1
     b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
     coefs = (b1, b2, 1 - b1**state.t, 1 - b2**state.t, lr, eps)
-    # only the packed buffer carries row marks
-    use_marks = grad is state._grad and 0.5 < b1 < 1 and 0 <= b2 < 1 and lr >= 0 and eps > 0
-    data, m_all, v_all = state._data, state.m_flat, state.v_flat
+    use_marks = 0.5 < b1 < 1 and 0 <= b2 < 1 and lr >= 0 and eps > 0
+    data, grad, m_all, v_all = state.data, state.grad, state.m_flat, state.v_flat
 
     # runs of consecutive tensors that take the same update:
     # [start, stop, gradient or None]
     runs: list[list] = []
     patches = []  # gathered rows that take the full update
-    for i, (p, (start, stop)) in enumerate(zip(params, state._spans)):
+    for i, (p, (start, stop)) in enumerate(zip(state.params, state._spans)):
         rows = p.grad_rows if use_marks else ANY_ROW
         if rows is ANY_ROW:
             g = grad
@@ -729,7 +686,7 @@ def adam_step(params, grads, state: AdamState) -> None:
                 rows = rows[0] if len(rows) == 1 else np.unique(np.concatenate(rows))
                 views = (p.data, state.m[i], state.v[i])
                 copies = [view[rows] for view in views]
-                g_rows = state._grad_views[i][rows]
+                g_rows = p.grad[rows]
                 _adam_update(*copies, g_rows, np.empty_like(g_rows),
                              np.empty_like(g_rows), coefs)
                 patches.append((rows, views, copies))

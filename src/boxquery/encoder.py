@@ -17,8 +17,9 @@ queries in the batch.
 
 All state lives in a :class:`ParameterStore` of named tensors so the
 optimizer and the checkpoint format can enumerate every parameter.  The
-store packs them: each tensor's data and gradient are views into one flat
-buffer apiece, in :meth:`ParameterStore.names` order.
+store checks that its tensors have the shapes its hyperparameters call
+for; where their values live is the optimizer's business
+(:class:`autodiff.AdamState` packs them).
 """
 
 from __future__ import annotations
@@ -45,8 +46,10 @@ class ConfigurationError(ValueError):
 class ParameterStore:
     """Named parameter tensors plus the hyperparameters that shape them.
 
-    ``data`` and ``grad`` are the flat buffers that every tensor's
-    ``.data`` and ``.grad`` view (see :func:`autodiff.pack_tensors`).
+    Building a store checks :func:`shape_problems` and that every tensor
+    the hyperparameters call for is there with its shape (tables ``2*dim``
+    wide with the counted rows), and raises :class:`ConfigurationError`
+    naming the key of the first broken rule (``dim: ...``).
     """
 
     dim: int
@@ -56,14 +59,27 @@ class ParameterStore:
     num_relations: int
     num_types: int  # named types; the table holds one extra untyped row
     tensors: dict[str, Tensor2] = field(repr=False)
-    data: np.ndarray = field(init=False, repr=False, compare=False)
-    grad: np.ndarray = field(init=False, repr=False, compare=False)
     _relation_weights: dict[tuple[int, str], tuple[Tensor2, ...]] = field(
         init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
-        self.data, self.grad = ad.pack_tensors(self.tensors.values())
+        problems = shape_problems(self.dim, self.layers, self.aggregation)
+        if problems:
+            raise ConfigurationError("; ".join(problems))
+        for name, shape in _tensor_shapes(
+            self.dim, self.layers, self.aggregation,
+            self.num_entities, self.num_relations, self.num_types,
+        ).items():
+            tensor = self.tensors.get(name)
+            if tensor is None:
+                raise ConfigurationError(f"tensors: lacks the tensor {name!r}")
+            if tensor.shape != shape:
+                key = _ROWS_KEY.get(name, "dim") if tensor.cols == shape[1] else "dim"
+                raise ConfigurationError(
+                    f"{key}: {name} is {tensor.rows}x{tensor.cols}, but {key}"
+                    f" {getattr(self, key)} calls for {shape[0]}x{shape[1]}"
+                )
         self._relation_weights = {
             (layer, direction): tuple(
                 self.tensors[f"msg{layer}_rel{r}_{direction}"]
@@ -128,6 +144,26 @@ def shape_problems(dim: int, layers: int, aggregation: str) -> list[str]:
     ]
 
 
+# the store field that counts a table's rows; other tensors follow dim
+_ROWS_KEY = {"entity_embeddings": "num_entities", "type_embeddings": "num_types"}
+
+
+def _tensor_shapes(dim: int, layers: int, aggregation: str, num_entities: int,
+                   num_relations: int, num_types: int) -> dict[str, tuple[int, int]]:
+    """The shape of every tensor a store holds, in store order."""
+    width = 2 * dim
+    shapes = {"entity_embeddings": (num_entities, width), "type_embeddings": (num_types + 1, width)}
+    for layer in range(1, layers + 1):
+        shapes[f"msg{layer}_self"] = (width, width)
+        for r in range(num_relations):
+            for direction in ("fwd", "inv"):
+                shapes[f"msg{layer}_rel{r}_{direction}"] = (width, width)
+    if aggregation == "mlp":
+        shapes.update(mlp_w1=(width, width), mlp_b1=(1, width),
+                      mlp_w2=(width, width), mlp_b2=(1, width))
+    return shapes
+
+
 def init_parameters(
     kg: KnowledgeGraph,
     dim: int = 32,
@@ -141,7 +177,6 @@ def init_parameters(
     if problems:
         raise ConfigurationError("; ".join(problems))
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x0B0E]))
-    width = 2 * dim
 
     def embedding_table(rows: int) -> Tensor2:
         centers = rng.uniform(0.0, 10.0, size=(rows, dim))
@@ -153,18 +188,15 @@ def init_parameters(
         return Tensor2(rng.uniform(-limit, limit, size=(rows, cols)), requires_grad=True)
 
     tensors: dict[str, Tensor2] = {}
-    tensors["entity_embeddings"] = embedding_table(kg.num_entities)
-    tensors["type_embeddings"] = embedding_table(kg.num_types + 1)
-    for layer in range(1, layers + 1):
-        tensors[f"msg{layer}_self"] = glorot(width, width)
-        for r in range(kg.num_relations):
-            tensors[f"msg{layer}_rel{r}_fwd"] = glorot(width, width)
-            tensors[f"msg{layer}_rel{r}_inv"] = glorot(width, width)
-    if aggregation == "mlp":
-        tensors["mlp_w1"] = glorot(width, width)
-        tensors["mlp_b1"] = Tensor2(np.zeros((1, width)), requires_grad=True)
-        tensors["mlp_w2"] = glorot(width, width)
-        tensors["mlp_b2"] = Tensor2(np.zeros((1, width)), requires_grad=True)
+    for name, (rows, cols) in _tensor_shapes(
+        dim, layers, aggregation, kg.num_entities, kg.num_relations, kg.num_types
+    ).items():
+        if name.endswith("_embeddings"):
+            tensors[name] = embedding_table(rows)
+        elif name.startswith("mlp_b"):
+            tensors[name] = Tensor2(np.zeros((rows, cols)), requires_grad=True)
+        else:
+            tensors[name] = glorot(rows, cols)
     return ParameterStore(
         dim=dim,
         layers=layers,

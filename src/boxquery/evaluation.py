@@ -239,8 +239,8 @@ def evaluate(
         for name in TEMPLATE_NAMES:
             per_template[name].confusion = ConfusionMatrix()
     # At most one pass over the entity table per query, into work buffers
-    # made once per call; without it, ranking against stored negatives
-    # reads only the rows it needs.
+    # made once per call; ranking against stored negatives reads only the
+    # rows it needs, whether or not the pass runs.
     rank_all = want_rank and full_ranking
     scan = want_cls or rank_all
     if scan:
@@ -278,11 +278,7 @@ def evaluate(
                 rows = np.concatenate(
                     (truth, np.array(inst.negatives + inst.hard_negatives, dtype=np.intp))
                 )
-                near = (
-                    (delta[rows], span[rows])
-                    if scan
-                    else separation(q_center, q_offset, centers[rows], offsets[rows])
-                )
+                near = separation(q_center, q_offset, centers[rows], offsets[rows])
                 listed = distances(*near, alpha)
                 pos, neg = listed[: truth.size], listed[truth.size :]
             metrics.negative_pool += neg.size

@@ -46,7 +46,6 @@ class KnowledgeGraph:
     edges: tuple[Edge, ...]
     edge_set: frozenset[Edge] = field(repr=False)
     out_index: dict[tuple[int, int], tuple[int, ...]] = field(repr=False)
-    in_index: dict[tuple[int, int], tuple[int, ...]] = field(repr=False)
     in_edges: dict[int, tuple[tuple[int, int], ...]] = field(repr=False)
 
     @property
@@ -108,7 +107,6 @@ class _TripleIndex:
     relation_ids: dict[str, int]
     edges: tuple[Edge, ...]  # deduplicated, in first-seen order
     out_index: dict[tuple[int, int], tuple[int, ...]]
-    in_index: dict[tuple[int, int], tuple[int, ...]]
     in_edges: dict[int, tuple[tuple[int, int], ...]]
 
 
@@ -122,7 +120,6 @@ def _index_triples(triples: Iterable[tuple[str, str, str]]) -> _TripleIndex:
     relation_ids: dict[str, int] = {}
     edges: dict[Edge, None] = {}  # an ordered set
     out_index: dict[tuple[int, int], list] = {}
-    in_index: dict[tuple[int, int], list] = {}
     in_edges: dict[int, list] = {}
     pairs: dict[tuple[int, int], tuple[int, int]] = {}  # one tuple per (h, r)
     for h_label, r_label, t_label in triples:
@@ -135,13 +132,12 @@ def _index_triples(triples: Iterable[tuple[str, str, str]]) -> _TripleIndex:
         edges[edge] = None
         hr = pairs.setdefault((h, r), (h, r))
         out_index.setdefault(hr, []).append(t)
-        in_index.setdefault((t, r), []).append(h)
         in_edges.setdefault(t, []).append(hr)
-    for index in (out_index, in_index, in_edges):
+    for index in (out_index, in_edges):
         for key, values in index.items():
             index[key] = tuple(values)
     return _TripleIndex(
-        entity_ids, relation_ids, tuple(edges), out_index, in_index, in_edges
+        entity_ids, relation_ids, tuple(edges), out_index, in_edges
     )
 
 
@@ -172,7 +168,6 @@ def _assemble(index: _TripleIndex, types: dict[str, str] | None) -> KnowledgeGra
         edges=index.edges,
         edge_set=frozenset(index.edges),
         out_index=index.out_index,
-        in_index=index.in_index,
         in_edges=index.in_edges,
     )
 
@@ -287,7 +282,7 @@ def neighbors(kg: KnowledgeGraph, entity: int, relation: int, direction: str = "
     if direction == "out":
         return set(kg.out_index.get((entity, relation), ()))
     if direction == "in":
-        return set(kg.in_index.get((entity, relation), ()))
+        return {h for h, r in kg.in_edges.get(entity, ()) if r == relation}
     raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
 
 

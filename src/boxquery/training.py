@@ -25,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import AdamState, Tensor2, adam_step
 from .boxes import DEFAULT_ALPHA, box_distance_t, split_raw_box
-from .encoder import ParameterStore, encode, init_parameters, shape_problems
+from .encoder import ConfigurationError, ParameterStore, encode, init_parameters, shape_problems
 from .evaluation import evaluate
 from .graphs import KnowledgeGraph
 from .queries import TEMPLATE_NAMES, QueryInstance
@@ -235,7 +235,7 @@ def train(
             )
         ps.zero_grads()
         total.backward()
-        adam_step(ps.parameters(), None, adam)
+        adam_step(adam)
         row = LogRow(step=step, train_loss=train_loss)
 
         if step % cfg.eval_every == 0:
@@ -246,7 +246,7 @@ def train(
                 if best_metric is None or metric > best_metric:
                     best_metric = metric
                     best_step = step
-                    best_snapshot = ps.data.copy()
+                    best_snapshot = adam.data.copy()
                     bad_evals = 0
                 else:
                     bad_evals += 1
@@ -261,7 +261,7 @@ def train(
         history.append(row)
 
     if best_snapshot is not None:
-        ps.data[:] = best_snapshot
+        adam.data[:] = best_snapshot
 
     if checkpoint_path is not None:
         save_checkpoint(ps, adam, checkpoint_path, step=step, rng=rng)
@@ -319,9 +319,11 @@ def save_checkpoint(
     step: int = 0,
     rng: np.random.Generator | None = None,
 ) -> Path:
+    """Write ``ps`` and ``adam``, the state built over its tensors (else ``ValueError``)."""
     path = Path(path)
-    if adam.m_flat.size != ps.data.size:
-        raise ValueError("optimizer state does not match the parameter store")
+    if adam.params != ps.parameters():  # tensors compare by identity
+        raise ValueError("optimizer state does not hold the parameter store's tensors")
+    adam.check_views()
     names = ps.names()
     header = {
         "version": _VERSION,
@@ -349,7 +351,7 @@ def save_checkpoint(
         fh.write(struct.pack("<I", _VERSION))
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        for buf in (ps.data, adam.m_flat, adam.v_flat):
+        for buf in (adam.data, adam.m_flat, adam.v_flat):
             fh.write(memoryview(buf))  # the bytes of tobytes(), without a copy
     return path
 
@@ -413,12 +415,12 @@ def load_checkpoint(
     if end != len(raw):
         raise CheckpointError(f"trailing bytes in checkpoint: {path}")
     body = np.frombuffer(raw, dtype=np.float64, count=3 * size, offset=cursor)
-    data = body[:size].copy()
+    # views of the file body; AdamState copies them into its buffers once
     tensors: dict[str, Tensor2] = {}
     start = 0
     for name, rows, cols in header["tensors"]:
         stop = start + rows * cols
-        tensors[name] = Tensor2(data[start:stop].reshape(rows, cols), requires_grad=True)
+        tensors[name] = Tensor2(body[start:stop].reshape(rows, cols), requires_grad=True)
         start = stop
     try:
         ps = ParameterStore(
@@ -430,8 +432,8 @@ def load_checkpoint(
             num_types=header["num_types"],
             tensors=tensors,
         )
-    except KeyError as exc:  # a relation weight the layer and relation counts call for
-        raise CheckpointError(f"checkpoint {path} lacks the tensor {exc.args[0]!r}") from exc
+    except ConfigurationError as exc:  # a header that contradicts itself or its tensors
+        raise CheckpointError(f"checkpoint {path}: {exc}") from exc
     meta = header["adam"]
     adam = AdamState(
         ps.parameters(),

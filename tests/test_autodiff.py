@@ -59,11 +59,19 @@ class TestRelu:
         np.testing.assert_array_equal(relu(relu(x)).data, once)
 
 
+def _step(state, grads):
+    """Write ``grads`` into the packed ``.grad`` views, mark every row, and step."""
+    for p, g in zip(state.params, grads):
+        p.grad[...] = g
+        p.grad_rows = ad.ANY_ROW
+    adam_step(state)
+
+
 class TestAdam:
     def test_first_step_closed_form(self):
         p = tensor([[0.0]], requires_grad=True)
         state = AdamState([p], lr=0.01)
-        adam_step([p], [np.array([[0.5]])], state)
+        _step(state, [np.array([[0.5]])])
         # bias correction makes m_hat = g and v_hat = g^2 on step one
         expected = -0.01 * 0.5 / (0.5 + 1e-8)
         assert state.t == 1
@@ -72,7 +80,7 @@ class TestAdam:
     def test_zero_gradient_keeps_params(self):
         p = tensor([[1.0, -2.0]], requires_grad=True)
         state = AdamState([p])
-        adam_step([p], [np.zeros((1, 2))], state)
+        _step(state, [np.zeros((1, 2))])
         np.testing.assert_array_equal(p.data, [[1.0, -2.0]])
 
     def test_deterministic(self, rng):
@@ -82,7 +90,7 @@ class TestAdam:
             p = tensor(np.ones((3, 3)), requires_grad=True)
             state = AdamState([p], lr=0.05)
             for _ in range(10):
-                adam_step([p], [g], state)
+                _step(state, [g])
             return p.data.copy()
 
         np.testing.assert_array_equal(run(), run())
@@ -90,8 +98,44 @@ class TestAdam:
     def test_shape_mismatch(self):
         p = tensor([[0.0]], requires_grad=True)
         state = AdamState([p])
+        p.grad = np.zeros((2, 2))
         with pytest.raises(ValueError):
-            adam_step([p], [np.zeros((2, 2))], state)
+            adam_step(state)
+
+
+class TestAdamContract:
+    """The state owns the packed layout; gradients reach it only through it."""
+
+    @staticmethod
+    def _pair():
+        a = tensor(np.ones((2, 3)), requires_grad=True)
+        b = tensor(np.full((3, 3), 2.0), requires_grad=True)
+        return [a, b], AdamState([a, b], lr=0.1)
+
+    def test_reassigned_grad_raises_naming_the_tensor(self):
+        params, state = self._pair()
+        params[1].grad = np.ones((3, 3))
+        with pytest.raises(ValueError, match=r"parameter 1 \(shape 3x3\): \.grad"):
+            adam_step(state)
+        assert state.t == 0 and not state.m_flat.any()
+
+    def test_reassigned_data_raises_naming_the_tensor(self):
+        params, state = self._pair()
+        params[0].data = params[0].data.copy()
+        with pytest.raises(ValueError, match=r"parameter 0 \(shape 2x3\): \.data"):
+            adam_step(state)
+        assert state.t == 0 and not state.m_flat.any()
+
+    def test_a_second_state_makes_the_first_raise(self):
+        params, first = self._pair()
+        second = AdamState(params, lr=0.1)
+        params[0].grad[...] = 1.0
+        params[0].grad_rows = ad.ANY_ROW
+        with pytest.raises(ValueError, match="parameter 0"):
+            adam_step(first)
+        adam_step(second)
+        assert second.t == 1 and (params[0].data < 1.0).all()
+        np.testing.assert_array_equal(first.data, [1.0] * 6 + [2.0] * 9)
 
 
 class TestTouchedRowAdam:
@@ -113,26 +157,26 @@ class TestTouchedRowAdam:
         for _ in range(2):
             params = [tensor(a.copy(), requires_grad=True) for a in (table, dead, weight)]
             state = AdamState(params, lr=0.1, beta1=beta1)
-            adam_step(params, first, state)
+            _step(state, first)
             sides.append((params, state))
         return sides
 
     @staticmethod
     def _bits(state):
-        return state._data.tobytes(), state.m_flat.tobytes(), state.v_flat.tobytes()
+        return state.data.tobytes(), state.m_flat.tobytes(), state.v_flat.tobytes()
 
     def test_negative_zero_gradients_match_unmarked_rows_bitwise(self):
         (full, full_state), (marked, marked_state) = self._sides()
         grads = [np.full(p.shape, -0.0) for p in full]
         grads[0][2] = [0.5, -0.25, 1.0]
-        adam_step(full, grads, full_state)
+        _step(full_state, grads)
 
         for p in marked:
             p.zero_grad()
         marked[0].grad[2] = grads[0][2]
         marked[0].grad_rows = [np.array([2])]
         marked[0].grad[4] = -0.0  # a zero gradient needs no mark, whatever its sign
-        adam_step(marked, None, marked_state)
+        adam_step(marked_state)
 
         assert self._bits(marked_state) == self._bits(full_state)
         assert marked_state._moving == [True, False, True]
@@ -142,10 +186,10 @@ class TestTouchedRowAdam:
         # with beta1 = 0 a negative first moment times beta1 is -0.0, which
         # only adding the zero gradient turns into +0.0
         (full, full_state), (marked, marked_state) = self._sides(beta1=0.0)
-        adam_step(full, [np.zeros(p.shape) for p in full], full_state)
+        _step(full_state, [np.zeros(p.shape) for p in full])
         for p in marked:
             p.zero_grad()
-        adam_step(marked, None, marked_state)
+        adam_step(marked_state)
         assert self._bits(marked_state) == self._bits(full_state)
         assert not np.signbit(marked_state.m_flat).any()
 

@@ -1,5 +1,7 @@
 """Tests for the message-passing box encoder."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,27 @@ class TestInit:
         (key,) = kwargs
         with pytest.raises(ConfigurationError, match=f"^{key}: "):
             init_parameters(kg, seed=0, **kwargs)
+
+    # the toy graph has 7 entities, 3 named types and 2 relations; the
+    # store is dim 4 (8-wide tables) with 3 layers
+    @pytest.mark.parametrize(
+        "change, problem",
+        [
+            ({"dim": 3}, r"^dim: entity_embeddings is 7x8, but dim 3 calls for 7x6$"),
+            ({"num_entities": 8}, r"^num_entities: entity_embeddings is 7x8, but num_entities 8"),
+            ({"num_types": 2}, r"^num_types: type_embeddings is 4x8, but num_types 2 calls for 3x8"),
+            ({"layers": 4}, r"^tensors: lacks the tensor 'msg4_self'$"),
+            ({"num_relations": 3}, r"^tensors: lacks the tensor 'msg1_rel2_fwd'$"),
+            ({"aggregation": "mlp"}, r"^tensors: lacks the tensor 'mlp_w1'$"),
+            ({"layers": 0}, r"^layers: must be >= 1$"),
+            ({"aggregation": "median"}, r"^aggregation: must be one of"),
+        ],
+        ids=["dim", "num_entities", "num_types", "layers", "num_relations", "mlp",
+             "no_layers", "median"],
+    )
+    def test_store_rejects_a_shape_its_tensors_contradict(self, store, change, problem):
+        with pytest.raises(ConfigurationError, match=problem):
+            replace(store, **change)
 
     def test_entity_boxes_clamp_offsets(self, kg, store):
         store.entity_embeddings.data[0, 4:] = -1.0
@@ -403,7 +426,9 @@ class TestTargetCone:
             self.full_update(m)
             full = train(kg, datasets, tc)
         assert cone.steps == full.steps == 50
-        assert cone.ps.data.tobytes() == full.ps.data.tobytes()
+        assert [p.data.tobytes() for p in cone.ps.parameters()] == [
+            p.data.tobytes() for p in full.ps.parameters()
+        ]
         assert [row.train_loss for row in cone.history] == [row.train_loss for row in full.history]
 
     def _updated_nodes(self, monkeypatch, aggregation):

@@ -199,10 +199,9 @@ def reference_build(triples, types=None) -> KnowledgeGraph:
                 entity_types[entity_ids[label]] = type_ids[type_label]
     else:
         entity_types = [0] * len(entity_ids)
-    out_index, in_index, in_edges = {}, {}, {}
+    out_index, in_edges = {}, {}
     for h, r, t in edges:
         out_index.setdefault((h, r), []).append(t)
-        in_index.setdefault((t, r), []).append(h)
         in_edges.setdefault(t, []).append((h, r))
     return KnowledgeGraph(
         entity_labels=tuple(entity_ids),
@@ -212,14 +211,13 @@ def reference_build(triples, types=None) -> KnowledgeGraph:
         edges=tuple(edges),
         edge_set=frozenset(edges),
         out_index={k: tuple(v) for k, v in out_index.items()},
-        in_index={k: tuple(v) for k, v in in_index.items()},
         in_edges={k: tuple(v) for k, v in in_edges.items()},
     )
 
 
 def assert_same_graph(got: KnowledgeGraph, want: KnowledgeGraph) -> None:
     assert got == want
-    for index in ("out_index", "in_index", "in_edges"):
+    for index in ("out_index", "in_edges"):
         assert list(getattr(got, index)) == list(getattr(want, index)), index
 
 

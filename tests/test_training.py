@@ -1,6 +1,7 @@
 """Tests for the loss, the training loop, and checkpointing."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -165,7 +166,7 @@ class TestInstanceLoss:
             total = instance_loss(ps, inst)
             ps.zero_grads()
             total.backward()
-            adam_step(ps.parameters(), None, adam)
+            adam_step(adam)
             value = total.item()
         assert value < first
 
@@ -272,8 +273,9 @@ class TestCheckpoints:
         adam = AdamState(ps.parameters(), lr=0.01)
         # make the optimizer state non-trivial
         for p in ps.parameters():
-            p.grad = np.ones_like(p.data)
-        adam_step(ps.parameters(), None, adam)
+            p.grad[...] = 1.0
+            p.grad_rows = ad.ANY_ROW
+        adam_step(adam)
         return ps, adam
 
     def test_save_load_save_is_byte_identical(self, kg, tmp_path):
@@ -303,6 +305,15 @@ class TestCheckpoints:
         for a, b in zip(adam.v, adam2.v):
             np.testing.assert_array_equal(a, b)
 
+    def test_save_needs_the_state_built_over_the_store(self, kg, tmp_path):
+        ps, adam = self._store_and_adam(kg)
+        other = init_parameters(kg, dim=3, layers=2, seed=8)
+        with pytest.raises(ValueError, match="parameter store's tensors"):
+            save_checkpoint(other, adam, tmp_path / "other.ckpt")
+        ps.entity_embeddings.data = ps.entity_embeddings.data.copy()
+        with pytest.raises(ValueError, match=r"parameter 0 .*\.data"):
+            save_checkpoint(ps, adam, tmp_path / "moved.ckpt")
+
     def test_rejects_garbage_file(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"not a checkpoint at all")
@@ -330,34 +341,58 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match="aggregation"):
             load_checkpoint(path, aggregation="tm")
 
-    @pytest.mark.parametrize("key", ["dim", "tensors", "adam", "step", "adam.t"])
-    def test_header_without_a_key_names_it(self, kg, tmp_path, key):
+    def _edited(self, kg, path, edit):
+        """A saved checkpoint at ``path`` whose JSON header ``edit`` changed in place."""
         ps, adam = self._store_and_adam(kg)
-        raw = save_checkpoint(ps, adam, tmp_path / "k.ckpt").read_bytes()
+        raw = save_checkpoint(ps, adam, path).read_bytes()
         length = int.from_bytes(raw[12:20], "little")  # after magic and version
         header = json.loads(raw[20 : 20 + length])
-        if "." in key:
-            outer, inner = key.split(".")
-            del header[outer][inner]
-        else:
-            del header[key]
+        edit(header)
         blob = json.dumps(header).encode()
-        path = tmp_path / "lacking.ckpt"
         path.write_bytes(raw[:12] + len(blob).to_bytes(8, "little") + blob + raw[20 + length :])
+        return path
+
+    @pytest.mark.parametrize("key", ["dim", "tensors", "adam", "step", "adam.t"])
+    def test_header_without_a_key_names_it(self, kg, tmp_path, key):
+        def drop(header):
+            if "." in key:
+                outer, inner = key.split(".")
+                del header[outer][inner]
+            else:
+                del header[key]
+
+        path = self._edited(kg, tmp_path / "lacking.ckpt", drop)
         with pytest.raises(CheckpointError, match=repr(key)):
             load_checkpoint(path)
 
     def test_missing_relation_tensor_is_named(self, kg, tmp_path):
-        ps, adam = self._store_and_adam(kg)
-        raw = save_checkpoint(ps, adam, tmp_path / "r.ckpt").read_bytes()
-        length = int.from_bytes(raw[12:20], "little")
-        header = json.loads(raw[20 : 20 + length])
-        index = [name for name, _, _ in header["tensors"]].index("msg1_rel0_fwd")
-        header["tensors"][index][0] = "renamed"
-        blob = json.dumps(header).encode()
-        path = tmp_path / "renamed.ckpt"
-        path.write_bytes(raw[:12] + len(blob).to_bytes(8, "little") + blob + raw[20 + length :])
+        def rename(header):
+            index = [name for name, _, _ in header["tensors"]].index("msg1_rel0_fwd")
+            header["tensors"][index][0] = "renamed"
+
+        path = self._edited(kg, tmp_path / "renamed.ckpt", rename)
         with pytest.raises(CheckpointError, match="'msg1_rel0_fwd'"):
+            load_checkpoint(path)
+
+    # the saved store is dim 3 (6-wide tables) with 2 layers and "sum"
+    @pytest.mark.parametrize(
+        "key, value, problem",
+        [
+            ("dim", 4, r"dim: entity_embeddings is \d+x6, but dim 4 calls for \d+x8$"),
+            ("num_entities", 99, r"num_entities: entity_embeddings is \d+x6, but num_entities 99"),
+            ("num_types", 99, r"num_types: type_embeddings is \d+x6, but num_types 99"),
+            ("layers", 0, r"layers: must be >= 1$"),
+            ("aggregation", "median", r"aggregation: must be one of"),
+            ("aggregation", "mlp", r"tensors: lacks the tensor 'mlp_w1'$"),
+        ],
+        ids=["dim", "num_entities", "num_types", "no_layers", "median", "mlp"],
+    )
+    def test_header_that_contradicts_its_tensors_names_the_key(
+        self, kg, tmp_path, key, value, problem
+    ):
+        path = self._edited(kg, tmp_path / "contradicts.ckpt",
+                            lambda header: header.update({key: value}))
+        with pytest.raises(CheckpointError, match=f"^checkpoint {re.escape(str(path))}: {problem}"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
@@ -452,7 +487,7 @@ class TestPackedTrainingStep:
             total = instance_loss(ps, inst, "tm")
             ps.zero_grads()
             total.backward()
-            adam_step(ps.parameters(), None, adam)
+            adam_step(adam)
         return adam
 
     def test_matches_dense_per_tensor_reference_bitwise(self, packed_case, dense_gather):
@@ -487,7 +522,7 @@ class TestPackedTrainingStep:
             assert adam.m[i].tobytes() == m[i].tobytes(), name
             assert adam.v[i].tobytes() == v[i].tobytes(), name
 
-    def test_explicit_grads_match_the_packed_path_bitwise(self, packed_case):
+    def test_every_row_marked_matches_the_marked_path_bitwise(self, packed_case):
         kg, steps = packed_case
         ps = self._store(kg)
         adam = self._train(ps, steps)
@@ -497,15 +532,17 @@ class TestPackedTrainingStep:
             total = instance_loss(ref, inst, "tm")
             ref.zero_grads()
             total.backward()
-            grads = [p.grad.copy() for p in ref.parameters()]
-            adam_step(ref.parameters(), grads, ref_adam)
-        assert ps.data.tobytes() == ref.data.tobytes()
+            for p in ref.parameters():  # every row marked: the full update everywhere
+                p.grad_rows = ad.ANY_ROW
+            adam_step(ref_adam)
+        assert adam.data.tobytes() == ref_adam.data.tobytes()
         assert adam.m_flat.tobytes() == ref_adam.m_flat.tobytes()
         assert adam.v_flat.tobytes() == ref_adam.v_flat.tobytes()
 
     def test_zero_grads_clears_dense_and_row_sparse_gradients(self, packed_case):
         kg, steps = packed_case
         ps = self._store(kg)
+        adam = AdamState(ps.parameters())
         ps.zero_grads()
         for inst in steps[:3]:  # row-sparse tables, dense weights
             instance_loss(ps, inst, "tm").backward()
@@ -513,9 +550,9 @@ class TestPackedTrainingStep:
         marks = [p.grad_rows for p in ps.parameters()]
         assert isinstance(marks[0], list) and len(marks[0]) == 3
         assert marks[1] is ad.ANY_ROW and None in marks
-        assert ps.grad.any()
+        assert adam.grad.any()
         ps.zero_grads()
-        assert ps.grad.tobytes() == bytes(ps.grad.nbytes)
+        assert adam.grad.tobytes() == bytes(adam.grad.nbytes)
         assert all(p.grad_rows is None for p in ps.parameters())
 
     def test_resume_mid_run_is_bitwise(self, packed_case, tmp_path):
@@ -534,7 +571,7 @@ class TestPackedTrainingStep:
         train(kg, datasets, cfg, resume_from=half, checkpoint_path=resumed)
         assert resumed.read_bytes() == whole.read_bytes()
 
-    def test_store_is_packed_and_checkpoint_round_trips(self, packed_case, tmp_path):
+    def test_optimizer_packs_the_store_and_checkpoint_round_trips(self, packed_case, tmp_path):
         kg, steps = packed_case
         ps = self._store(kg)
         adam = self._train(ps, steps[:5])
@@ -544,14 +581,15 @@ class TestPackedTrainingStep:
         assert first.read_bytes() == second.read_bytes()
 
         for store, state in ((ps, adam), (ps2, adam2)):
-            start = store.data.__array_interface__["data"][0]
+            assert state.params == store.parameters()
+            start = state.data.__array_interface__["data"][0]
             offset = 0
             for p, m in zip(store.parameters(), state.m):
-                assert p.data.base is store.data and p.grad.base is store.grad
+                assert p.data.base is state.data and p.grad.base is state.grad
                 assert m.base is state.m_flat
                 assert p.data.__array_interface__["data"][0] == start + offset
                 offset += p.data.nbytes
-            assert offset == store.data.nbytes
+            assert offset == state.data.nbytes
 
 
 class TestTrainingLog:
