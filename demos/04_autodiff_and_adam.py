@@ -1,9 +1,9 @@
 """The tiny reverse-mode autodiff engine and its Adam optimizer.
 
-Everything the trainer needs lives in one module: 2-D float64 tensors, a
-dozen ops with hand-written adjoints, central-difference gradient
-checking, and a from-scratch Adam.  This demo fits a 1-D regression with
-it, then shows double backward and a gradient check.
+Everything the trainer needs lives in one module: 2-D float64 tensors,
+ops with hand-written adjoints, central-difference gradient checking, and
+a from-scratch Adam.  This demo fits a 1-D regression with it, then shows
+double backward and a gradient check.
 """
 
 import numpy as np
@@ -14,8 +14,8 @@ from boxquery.autodiff import AdamState, adam_step, finite_diff_check, tensor
 rng = np.random.default_rng(4)
 
 # --- fit y = 3x - 1 with a single affine layer -----------------------------
-# the op set is deliberately tiny (just what box training needs), so the
-# regression below uses an L1 objective built from absolute()
+# the engine holds only the ops box training needs, so the regression
+# below builds its L1 objective from relu: |err| = relu(err) + relu(-err)
 x = tensor(rng.uniform(-1, 1, size=(64, 1)))
 y_true = tensor(3.0 * x.data - 1.0)
 
@@ -28,7 +28,7 @@ print("== fitting y = 3x - 1 (L1 loss) ==")
 for step in range(1, 301):
     ad.zero_grads(params)
     err = ad.affine(x, w, b) - y_true
-    loss = ad.mean_all(ad.absolute(err))
+    loss = ad.mean_all(ad.relu(err) + ad.relu(err * -1.0))
     loss.backward()
     adam_step(opt)
     if step % 75 == 0:

@@ -360,22 +360,6 @@ def relu(x: Tensor2) -> Tensor2:
     return Tensor2._result(x.data * mask, (x,), lambda g: (g * mask,))
 
 
-def absolute(x: Tensor2) -> Tensor2:
-    s = np.sign(x.data)
-    return Tensor2._result(np.abs(x.data), (x,), lambda g: (g * s,))
-
-
-def minimum(a: Tensor2, b: Tensor2) -> Tensor2:
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    take_a = a.data <= b.data  # ties route to the first argument
-
-    def vjp(g):
-        return g * take_a, g * ~take_a
-
-    return Tensor2._result(np.minimum(a.data, b.data), (a, b), vjp)
-
-
 def maximum(a: Tensor2, b: Tensor2) -> Tensor2:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
@@ -425,15 +409,6 @@ def sum_all(x: Tensor2) -> Tensor2:
 
 def mean_all(x: Tensor2) -> Tensor2:
     return sum_all(x) * (1.0 / x.data.size)
-
-
-def row_sum(x: Tensor2) -> Tensor2:
-    """Sum across columns, giving an n x 1 column."""
-    return Tensor2._result(
-        x.data.sum(axis=1, keepdims=True),
-        (x,),
-        lambda g: (np.broadcast_to(g, x.shape).copy(),),
-    )
 
 
 def _row_sums(ids: np.ndarray, values: np.ndarray, num_rows: int):

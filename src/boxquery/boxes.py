@@ -15,7 +15,7 @@ Both read two arrays per entity box, ``|c - q_c|`` and ``o + q_o``, which
 :func:`separation` forms once for a whole table of boxes; :func:`overlaps`
 and :func:`distances` are the numpy kernel that evaluation scans with, and
 the :class:`Box` predicates and distances apply it to a one-row table.
-:func:`box_distance_t` is the same distance in tensor operations, for the
+:func:`box_distance_t` is the same kernel as one tape node, for the
 training path, differentiable with respect to the raw parameters that
 :func:`split_raw_box` splits.
 """
@@ -126,7 +126,7 @@ def separation(
     """Per entity box, ``|c - q_c|`` and ``o + q_o``, what overlap and distance read.
 
     ``offsets`` must already be clamped.  Results go into ``delta`` and
-    ``span`` when given; ``span`` may be ``offsets`` itself.
+    ``span`` when given, which may be ``centers`` and ``offsets`` themselves.
     """
     delta = np.subtract(centers, q_center, out=delta)
     np.abs(delta, out=delta)
@@ -214,16 +214,33 @@ def box_distance_t(
     e_offsets: Tensor2,
     alpha: float = DEFAULT_ALPHA,
 ) -> Tensor2:
-    """Column of distances from one query box to n entity boxes.
+    """Column of distances from one query box to n entity boxes, one tape node.
 
     The query side is a single row broadcast against n-row entity
-    matrices; offsets are assumed already clamped.
+    matrices; offsets are assumed already clamped.  The value is
+    :func:`distances`, and the adjoint repeats the arithmetic of the
+    distance composed from tape operations, so gradients keep its bits.
     """
-    delta = ad.absolute(e_centers - q_center)
-    total = e_offsets + q_offset
-    outside = ad.row_sum(ad.relu(delta - total))
-    inside = ad.row_sum(ad.minimum(delta, total))
-    return outside + alpha * inside
+    # backward visits parents last to first, so this order visits the inputs
+    # as the composed form did and a shared table gets its adjoints in order
+    parents = (e_centers, q_center, e_offsets, q_offset)
+    delta, span = separation(q_center.data, q_offset.data, e_centers.data, e_offsets.data)
+    if delta.shape != span.shape or {p.cols for p in parents} != {delta.shape[1]}:
+        raise ValueError(f"shape mismatch: {[p.shape for p in parents]}")
+
+    def vjp(g):
+        # two terms per sum, so their order cannot show; a NaN takes neither mask
+        g_in, g_gap, take_delta = g * alpha, g * (delta > span), delta <= span
+        d_delta = (g_gap + g_in * take_delta) * np.sign(e_centers.data - q_center.data)
+        d_span = g_gap * -1.0 + g_in * ~take_delta
+        return (
+            ad._reduce_rows(d_delta, e_centers.rows),
+            ad._reduce_rows(d_delta * -1.0, q_center.rows),
+            ad._reduce_rows(d_span, e_offsets.rows),
+            ad._reduce_rows(d_span * 1.0, q_offset.rows),
+        )
+
+    return Tensor2._result(distances(delta, span, alpha)[:, None], parents, vjp)
 
 
 def random_box(rng: np.random.Generator, dim: int, center_scale: float = 5.0,

@@ -117,7 +117,7 @@ class ParameterStore:
         return self._relation_weights[layer, direction]
 
     def entity_boxes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(centers, clamped offsets) of all entity boxes, as plain arrays."""
+        """(centers, clamped offsets) of all entity boxes, as fresh arrays."""
         table = self.entity_embeddings.data
         return table[:, : self.dim].copy(), np.maximum(table[:, self.dim :], 0.0)
 
@@ -281,24 +281,6 @@ def query_messages(queries: Sequence[QueryGraph]) -> QueryMessages:
 
 
 def message_pass(
-    states: list[Tensor2],
-    messages: QueryMessages,
-    ps: ParameterStore,
-    layer: int,
-    last: bool = False,
-) -> list[Tensor2]:
-    """One update step over the query graph, inverse edges included.
-
-    Each node combines a self-loop message with mean-normalized messages
-    per (relation, direction).  The last layer stays linear so raw centers
-    and offsets can take any sign.  States hold one row per query, and
-    ``messages`` (from :func:`query_messages`) give each row its own
-    query's relations.
-    """
-    return _update_nodes(states, messages, ps, layer, last, range(len(messages)))
-
-
-def _update_nodes(
     states: list[Tensor2 | None],
     messages: QueryMessages,
     ps: ParameterStore,
@@ -306,7 +288,14 @@ def _update_nodes(
     last: bool,
     nodes: Sequence[int],
 ) -> list[Tensor2 | None]:
-    """:func:`message_pass` for ``nodes`` only; the other states are None."""
+    """One update step of ``nodes`` over the query graph, inverse edges included.
+
+    Each node combines a self-loop message with mean-normalized messages
+    per (relation, direction).  The last layer stays linear so raw centers
+    and offsets can take any sign.  States hold one row per query, and
+    ``messages`` (from :func:`query_messages`) give each row its own
+    query's relations.  The states of nodes not in ``nodes`` come back None.
+    """
     if not 1 <= layer <= ps.layers:
         raise ConfigurationError(f"layer {layer} outside 1..{ps.layers}")
     out: list[Tensor2 | None] = [None] * len(messages)
@@ -411,7 +400,7 @@ def _encode_rows(
     for layer in range(ps.layers - steps + 1, ps.layers + 1):
         after = ps.layers - layer  # steps still to come
         nodes = rings[min(after, len(rings) - 1)] if method == "tm" else every_node
-        states = _update_nodes(states, messages, ps, layer, after == 0, nodes)
+        states = message_pass(states, messages, ps, layer, after == 0, nodes)
     return aggregate(states, method, first_query, ps)
 
 

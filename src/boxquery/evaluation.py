@@ -102,9 +102,8 @@ def classify(ps: ParameterStore, q, method: str | None = None) -> frozenset[int]
     """All entities whose box overlaps the encoded query box."""
     with no_grad():
         box = encode(q, ps, method).box
-    table = ps.entity_embeddings.data
-    span = np.maximum(table[:, ps.dim :], 0.0)
-    delta, span = separation(box.center, box.offset, table[:, : ps.dim], span, span=span)
+    centers, offsets = ps.entity_boxes()  # fresh, so they can take delta and span
+    delta, span = separation(box.center, box.offset, centers, offsets, centers, offsets)
     return frozenset(np.flatnonzero(overlaps(delta, span)).tolist())
 
 

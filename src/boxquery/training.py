@@ -300,12 +300,23 @@ def write_training_log(history: Sequence[LogRow], path: str | Path) -> Path:
 
 _MAGIC = b"BOXQCKPT"
 _VERSION = 1
-# what load_checkpoint reads from the header, and from its "adam" entry
-_HEADER_KEYS = (
-    "dim", "layers", "aggregation", "num_entities", "num_relations",
-    "num_types", "tensors", "adam", "step",
-)
-_ADAM_KEYS = ("lr", "beta1", "beta2", "eps", "t")
+# what load_checkpoint reads from the header, and from its "adam" entry, as
+# (JSON type, test); ``type(v) is int`` turns away booleans, which are ints
+_INTEGER = ("an integer", lambda value: type(value) is int)
+_HEADER_KEYS = {
+    **dict.fromkeys(("dim", "layers", "num_entities", "num_relations", "num_types"), _INTEGER),
+    "aggregation": ("a string", lambda value: type(value) is str),
+    "tensors": ("a list of [name, rows, cols]", lambda value: type(value) is list and all(
+        type(e) is list and len(e) == 3 and type(e[0]) is str
+        and type(e[1]) is type(e[2]) is int and min(e[1:]) >= 0 for e in value
+    )),
+    "adam": ("an object", lambda value: type(value) is dict),
+    "step": _INTEGER,
+}
+_ADAM_KEYS = {
+    **dict.fromkeys(("lr", "beta1", "beta2", "eps"), ("a number", lambda v: type(v) in (int, float))),
+    "t": _INTEGER,
+}
 
 
 class CheckpointError(RuntimeError):
@@ -394,13 +405,16 @@ def load_checkpoint(
         header = json.loads(raw[cursor : cursor + header_len].decode("utf-8"))
     except ValueError as exc:
         raise CheckpointError(f"corrupt checkpoint header in {path}") from exc
-    if not isinstance(header, dict) or not isinstance(header.get("adam", {}), dict):
+    if not isinstance(header, dict):
         raise CheckpointError(f"corrupt checkpoint header in {path}")
-    missing = [key for key in _HEADER_KEYS if key not in header]
-    if not missing:
-        missing = [f"adam.{key}" for key in _ADAM_KEYS if key not in header["adam"]]
-    if missing:
-        raise CheckpointError(f"checkpoint header in {path} lacks the key {missing[0]!r}")
+    for prefix, keys in (("", _HEADER_KEYS), ("adam.", _ADAM_KEYS)):
+        section = header["adam"] if prefix else header  # an object by now
+        for key, (kind, valid) in keys.items():
+            if key not in section:
+                raise CheckpointError(f"checkpoint header in {path} lacks the key {prefix + key!r}")
+            if not valid(section[key]):
+                raise CheckpointError(f"checkpoint header in {path}: {prefix + key!r}"
+                                      f" must be {kind}, got {section[key]!r}")
     cursor += header_len
     for name, value in expected.items():
         if header.get(name) != value:

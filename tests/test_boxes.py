@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import boxquery.autodiff as ad
-from boxquery.autodiff import finite_diff_check, tensor
+from boxquery import training
+from boxquery.autodiff import Tensor2, finite_diff_check, tensor
 from boxquery.boxes import (
     Box,
     box_distance_t,
@@ -268,3 +269,113 @@ class TestDifferentiablePath:
                 continue
             assert finite_diff_check(f, [q, e]) < 1e-4
             checked += 1
+
+
+# The distance as tape operations, the form box_distance_t replaced; the
+# bitwise tests below keep it as the reference.
+
+
+def _absolute(x):
+    s = np.sign(x.data)
+    return Tensor2._result(np.abs(x.data), (x,), lambda g: (g * s,))
+
+
+def _minimum(a, b):
+    take_a = a.data <= b.data  # ties route to the first argument
+    return Tensor2._result(
+        np.minimum(a.data, b.data), (a, b), lambda g: (g * take_a, g * ~take_a)
+    )
+
+
+def _row_sum(x):
+    return Tensor2._result(
+        x.data.sum(axis=1, keepdims=True),
+        (x,),
+        lambda g: (np.broadcast_to(g, x.shape).copy(),),
+    )
+
+
+def composed_distance(q_center, q_offset, e_centers, e_offsets, alpha):
+    delta = _absolute(e_centers - q_center)
+    total = e_offsets + q_offset
+    outside = _row_sum(ad.relu(delta - total))
+    inside = _row_sum(_minimum(delta, total))
+    return outside + alpha * inside
+
+
+class TestOneNodeDistance:
+    """box_distance_t against the composed form, value and gradients bit for bit."""
+
+    @staticmethod
+    def run(distance, arrays, reads):
+        leaves = [tensor(a, requires_grad=True) for a in arrays]
+        d = distance(*leaves, 0.02)
+        loss = ad.mean_all(ad.softplus(d - 1.0))
+        if reads == 2:  # a second consumer, so the node's adjoint has two terms
+            loss = loss + ad.sum_all(d * -0.37)
+        loss.backward()
+        return [d.data.tobytes()] + [leaf.grad.tobytes() for leaf in leaves]
+
+    @pytest.mark.parametrize("reads", [1, 2])
+    @pytest.mark.parametrize("rows", [1, 7])
+    @pytest.mark.parametrize("quarters", [False, True], ids=["random", "quarters"])
+    def test_gradients_match_the_composition_bitwise(self, rows, reads, quarters):
+        # on a grid of quarters, centers coincide and delta == span often
+        rng = np.random.default_rng(rows * 10 + reads)
+        ties = zeros = 0
+        for _ in range(20):
+            if quarters:
+                draw = lambda n: rng.integers(-6, 7, size=(n, 5)) / 4.0
+            else:
+                draw = lambda n: rng.normal(0.0, 2.0, size=(n, 5))
+            arrays = [draw(1), np.abs(draw(1)), draw(rows), np.abs(draw(rows))]
+            delta = np.abs(arrays[2] - arrays[0])
+            ties += np.count_nonzero(delta == arrays[3] + arrays[1])
+            zeros += np.count_nonzero(delta == 0.0)
+            assert self.run(box_distance_t, arrays, reads) == self.run(
+                composed_distance, arrays, reads
+            )
+        if quarters:
+            assert ties and zeros
+
+    def test_training_loss_matches_the_composition_bitwise(self, monkeypatch):
+        # one table feeds the query through two gathers of the same row
+        # (repeated anchors) and both distance calls, so that row gathers
+        # four adjoints, whose order of addition shows in the bits
+        rng = np.random.default_rng(5)
+        table = rng.normal(size=(6, 8)) * np.array([1e3, 1.0, 1e-3, 1.0] * 2)
+
+        def grads():
+            t = tensor(table.copy(), requires_grad=True)
+            raw = ad.gather_rows(t, [0]) + ad.gather_rows(t, [0]) * 0.5
+            qc, qo = split_raw_box(raw)
+            pc, po = split_raw_box(ad.gather_rows(t, [0, 3]))
+            nc, no = split_raw_box(ad.gather_rows(t, [1, 0, 5]))
+            training.loss_terms(qc, qo, pc, po, nc, no, gamma=1.0, alpha=0.02).backward()
+            return t.grad.tobytes()
+
+        got = grads()
+        monkeypatch.setattr(training, "box_distance_t", composed_distance)
+        assert got == grads()
+
+    def test_non_finite_inputs_match_the_composition_bitwise(self):
+        # a NaN takes neither mask and an infinite span swallows the gap
+        arrays = [
+            np.array([[0.0, 1.0, 2.0, np.nan]]),
+            np.array([[0.5, 0.5, np.inf, 1.0]]),
+            np.array([[1.0, np.nan, 9.0, 2.0], [np.inf, 1.5, 0.0, 1.0]]),
+            np.array([[0.5, 1.0, 1.0, np.nan], [1.0, 0.0, np.inf, 0.25]]),
+        ]
+
+        def run(distance):
+            leaves = [tensor(a, requires_grad=True) for a in arrays]
+            ad.sum_all(distance(*leaves, 0.02)).backward()
+            return [leaf.grad.tobytes() for leaf in leaves]
+
+        with np.errstate(invalid="ignore"):
+            assert run(box_distance_t) == run(composed_distance)
+
+    def test_records_one_tape_result(self):
+        leaves = [tensor(np.ones((r, 3)), requires_grad=True) for r in (1, 1, 4, 4)]
+        d = box_distance_t(*leaves)
+        assert d.shape == (4, 1) and d._parents and all(p in leaves for p in d._parents)

@@ -142,13 +142,15 @@ class TestMessagePass:
     def test_shapes_preserved(self, kg, store):
         q = instantiate("3-inter-chain", [0, 1], [0, 1, 0])
         states = node_features([q], store)
-        out = message_pass(states, query_messages([q]), store, layer=1)
+        out = message_pass(states, query_messages([q]), store, 1, False, range(4))
         assert len(out) == 4
         assert all(s.shape == (1, 8) for s in out)
 
     def test_hidden_layers_are_nonnegative(self, kg, store):
         q = instantiate("2-chain", [0], [0, 1])
-        states = message_pass(node_features([q], store), query_messages([q]), store, layer=1)
+        states = message_pass(
+            node_features([q], store), query_messages([q]), store, 1, False, range(3)
+        )
         assert all(s.data.min() >= 0.0 for s in states)
 
     def test_last_layer_is_linear(self, kg):
@@ -157,16 +159,16 @@ class TestMessagePass:
         ps["msg1_self"].data[:] = -np.eye(4)
         q = instantiate("1-chain", [0], [0])
         states = node_features([q], ps)
-        out = message_pass(states, query_messages([q]), ps, layer=1, last=True)
+        out = message_pass(states, query_messages([q]), ps, 1, True, range(2))
         assert out[1].data.min() < 0.0
 
     def test_layer_index_bounds(self, kg, store):
         q = instantiate("1-chain", [0], [0])
         states = node_features([q], store)
         with pytest.raises(ConfigurationError):
-            message_pass(states, query_messages([q]), store, layer=4)
+            message_pass(states, query_messages([q]), store, 4, False, range(2))
         with pytest.raises(ConfigurationError):
-            message_pass(states, query_messages([q]), store, layer=0)
+            message_pass(states, query_messages([q]), store, 0, False, range(2))
 
     def test_fan_in_messages_are_mean_normalized(self, kg):
         # two anchors sending over the same relation must average, not add:
@@ -174,8 +176,12 @@ class TestMessagePass:
         ps = init_parameters(kg, dim=3, layers=1, seed=2)
         same = instantiate("2-inter", [0, 0], [1, 1])
         single = instantiate("1-chain", [0], [1])
-        s2 = message_pass(node_features([same], ps), query_messages([same]), ps, 1, last=True)
-        s1 = message_pass(node_features([single], ps), query_messages([single]), ps, 1, last=True)
+        s2 = message_pass(
+            node_features([same], ps), query_messages([same]), ps, 1, True, range(3)
+        )
+        s1 = message_pass(
+            node_features([single], ps), query_messages([single]), ps, 1, True, range(2)
+        )
         np.testing.assert_allclose(
             s2[same.shape.target_node].data, s1[1].data, rtol=1e-12
         )
@@ -210,7 +216,9 @@ class TestMessagePass:
                 q = instantiate(name, rng.integers(0, 12, tpl.num_anchors).tolist(), rels)
                 for last in (False, True):
                     states = node_features([q], ps)
-                    got = message_pass(states, query_messages([q]), ps, 2, last)
+                    got = message_pass(
+                        states, query_messages([q]), ps, 2, last, range(tpl.num_nodes)
+                    )
                     want = per_call(states, q, ps, 2, last)
                     assert [t.data.tobytes() for t in got] == [t.data.tobytes() for t in want]
 
@@ -436,14 +444,14 @@ class TestTargetCone:
         ps = init_parameters(kg, dim=3, layers=3, seed=4, aggregation=aggregation)
         rng = np.random.default_rng(2)
         updated = {}
-        real = encoder._update_nodes
+        real = encoder.message_pass
 
         def spy(*args):
             out = real(*args)
             updated[current].append([node for node, s in enumerate(out) if s is not None])
             return out
 
-        monkeypatch.setattr(encoder, "_update_nodes", spy)
+        monkeypatch.setattr(encoder, "message_pass", spy)
         for current in TEMPLATES:
             updated[current] = []
             encode_many(self.queries(current, rng, count=2), ps)

@@ -365,6 +365,39 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match=repr(key)):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("dim", "3"),
+            ("dim", True),
+            ("layers", 2.5),
+            ("num_types", None),
+            ("num_entities", False),
+            ("aggregation", 3),
+            ("step", "x"),
+            ("tensors", 5),
+            ("tensors", [["entity_embeddings", 7]]),
+            ("tensors", [["entity_embeddings", 7.0, 6]]),
+            ("tensors", [[0, 7, 6]]),
+            ("tensors", [["entity_embeddings", -7, 6]]),
+            ("adam", []),
+            ("adam.t", True),
+            ("adam.lr", "0.01"),
+            ("adam.eps", None),
+        ],
+    )
+    def test_header_value_of_the_wrong_type_names_the_key(self, kg, tmp_path, key, value):
+        def put(header):
+            if "." in key:
+                outer, inner = key.split(".")
+                header[outer][inner] = value
+            else:
+                header[key] = value
+
+        path = self._edited(kg, tmp_path / "typed.ckpt", put)
+        with pytest.raises(CheckpointError, match=f"{key!r} must be"):
+            load_checkpoint(path)
+
     def test_missing_relation_tensor_is_named(self, kg, tmp_path):
         def rename(header):
             index = [name for name, _, _ in header["tensors"]].index("msg1_rel0_fwd")
