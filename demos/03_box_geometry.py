@@ -1,7 +1,8 @@
 """Axis-aligned boxes: the geometric primitive behind every embedding.
 
 A box is a center plus a nonnegative per-dimension offset (half-width).
-Membership and overlap are closed-interval tests, and the training
+Membership and overlap are closed-interval tests, both read as
+|c - c'| <= o + o' (a point has offset zero), and the training
 distance decomposes into an outside part (zero exactly when the boxes
 overlap) and an inside part that gently pulls matched boxes together.
 """
@@ -27,6 +28,12 @@ print()
 print("== membership ==")
 for point in ([0.5, 0.5], [2.0, 1.0], [2.5, 0.0]):
     print(f"  {point} inside a: {contains(a, np.array(point))}")
+print("  a point is a box of zero offset, so membership is the overlap test:")
+thin = Box(np.array([0.1]), np.array([0.2]))
+edge = np.array([0.1 + 0.2])  # one ulp past 0.3, and |edge - 0.1| > 0.2
+inside, touching = contains(thin, edge), intersects(thin, Box(edge, np.zeros(1)))
+print(f"  point 0.1 + 0.2 vs box 0.1 +- 0.2: contains={inside}, intersects={touching}")
+assert inside == touching
 
 print()
 print("== overlap ==")

@@ -536,6 +536,8 @@ def pack_tensors(params) -> tuple[np.ndarray, np.ndarray]:
 # 2^16 no faster.
 _ADAM_CHUNK = 1 << 15
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's usual moment decays and guard
+
 
 class AdamState:
     """The packed parameters, their moment buffers and the step counter.
@@ -545,16 +547,15 @@ class AdamState:
     ``.data`` and ``.grad`` view.  ``m_flat`` and ``v_flat`` have the same
     layout, and ``m`` and ``v`` are their per-tensor views.  The state is
     the one owner of that layout: a later ``AdamState`` over the same
-    tensors moves them again, and this one then refuses to step.
+    tensors moves them again, and this one then refuses to step.  An
+    ``lr`` outside [0, inf) raises ``ValueError``.
     """
 
-    def __init__(self, params, lr: float = 0.01, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params, lr: float = 0.01):
+        if not 0 <= lr < math.inf:  # NaN fails too
+            raise ValueError(f"lr must be in [0, inf), got {lr!r}")
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.data, self.grad = pack_tensors(self.params)
         self._data_views = [p.data for p in self.params]
@@ -627,14 +628,13 @@ def adam_step(state: AdamState) -> None:
     - some rows marked: those rows are gathered and take the full update,
       the rest of the table the gradient-free one.
 
-    Why the shortcuts are exact, for ``0.5 < beta1 < 1``,
-    ``0 <= beta2 < 1``, ``lr >= 0`` and ``eps > 0`` (outside that range
-    every tensor takes the full update):
+    Why the shortcuts are exact, for ``BETA1 = 0.9``, ``BETA2 = 0.999``,
+    ``EPS = 1e-8`` and the ``lr >= 0`` that :class:`AdamState` requires:
 
     - ``m`` and ``v`` start at +0.0, and ``x + y`` is -0.0 only when both
       are, so the full update never makes a moment -0.0.  Nor does the
       gradient-free one: ``m*b1`` is -0.0 only for ``m`` -0.0, since with
-      ``b1 > 0.5`` no nonzero product rounds to zero, and ``v >= 0``.
+      ``BETA1 > 0.5`` no nonzero product rounds to zero, and ``v >= 0``.
     - So ``m*b1 + (+-0.0)`` equals ``m*b1``, and ``v*b2 + (+0.0)``
       (``((1-b2)*g)*g`` is +0.0 for ``g`` = +-0.0) equals ``v*b2``, bit
       for bit; NaN stays NaN.
@@ -643,9 +643,7 @@ def adam_step(state: AdamState) -> None:
     """
     state.check_views()
     state.t += 1
-    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
-    coefs = (b1, b2, 1 - b1**state.t, 1 - b2**state.t, lr, eps)
-    use_marks = 0.5 < b1 < 1 and 0 <= b2 < 1 and lr >= 0 and eps > 0
+    coefs = (BETA1, BETA2, 1 - BETA1**state.t, 1 - BETA2**state.t, state.lr, EPS)
     data, grad, m_all, v_all = state.data, state.grad, state.m_flat, state.v_flat
 
     # runs of consecutive tensors that take the same update:
@@ -653,7 +651,7 @@ def adam_step(state: AdamState) -> None:
     runs: list[list] = []
     patches = []  # gathered rows that take the full update
     for i, (p, (start, stop)) in enumerate(zip(state.params, state._spans)):
-        rows = p.grad_rows if use_marks else ANY_ROW
+        rows = p.grad_rows
         if rows is ANY_ROW:
             g = grad
         else:

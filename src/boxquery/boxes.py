@@ -1,9 +1,8 @@
 """Axis-aligned hyper-rectangles for entities and queries.
 
 A box is a center vector plus a componentwise nonnegative offset (half
-width); a point v lies inside when center - offset <= v <= center + offset
-holds in every dimension.  Boxes are closed, so boundary contact counts as
-membership and as intersection.
+width).  Boxes are closed: two overlap when ``|c - q_c| <= o + q_o`` in every
+dimension, so boundary contact counts; a point is a box of zero offset.
 
 The box-to-box distance has an outside part (the componentwise gap between
 the two rectangles) and an inside part (center separation capped at the
@@ -14,7 +13,8 @@ zero-offset argument it reduces to the familiar point-to-box form, and
 Both read two arrays per entity box, ``|c - q_c|`` and ``o + q_o``, which
 :func:`separation` forms once for a whole table of boxes; :func:`overlaps`
 and :func:`distances` are the numpy kernel that evaluation scans with, and
-the :class:`Box` predicates and distances apply it to a one-row table.
+the :class:`Box` predicates (:func:`intersects`, :func:`contains`,
+:func:`contains_box`) and distances apply it to a one-row table.
 :func:`box_distance_t` is the same kernel as one tape node, for the
 training path, differentiable with respect to the raw parameters that
 :func:`split_raw_box` splits.
@@ -63,13 +63,9 @@ def materialize(raw_center, raw_offset) -> Box:
 
 
 def contains(box: Box, point) -> bool:
-    """Closed-box membership of a point."""
+    """Closed-box membership of a point: overlap with the point's zero-offset box."""
     v = np.asarray(point, dtype=np.float64)
-    if v.shape != box.center.shape:
-        raise ValueError(f"dimension mismatch: {v.shape} vs {box.center.shape}")
-    return bool(
-        np.all(box.center - box.offset <= v) and np.all(v <= box.center + box.offset)
-    )
+    return intersects(box, Box(v, np.zeros_like(v)))
 
 
 def intersects(a: Box, b: Box) -> bool:
@@ -78,12 +74,9 @@ def intersects(a: Box, b: Box) -> bool:
 
 
 def contains_box(outer: Box, inner: Box) -> bool:
-    """Full interval containment; stricter alternative answer criterion."""
-    _check_dims(outer, inner)
-    return bool(
-        np.all(outer.center - outer.offset <= inner.center - inner.offset)
-        and np.all(inner.center + inner.offset <= outer.center + outer.offset)
-    )
+    """Full interval containment; stricter alternative answer criterion.  The
+    overlap test with the inner offsets negated, ``|c_in - c_out| <= o_out - o_in``."""
+    return intersects(outer, Box(inner.center, -inner.offset))
 
 
 def distance_outside(a: Box, b: Box) -> float:
@@ -99,16 +92,10 @@ def distance(a: Box, b: Box, alpha: float = DEFAULT_ALPHA) -> float:
     return float(distances(*_pair(a, b), alpha)[0])
 
 
-def _check_dims(a: Box, b: Box) -> None:
-    if a.center.shape != b.center.shape:
-        raise ValueError(
-            f"dimension mismatch: {a.center.shape} vs {b.center.shape}"
-        )
-
-
 def _pair(a: Box, b: Box) -> tuple[np.ndarray, np.ndarray]:
     """:func:`separation` of ``b`` as a one-row table from ``a``."""
-    _check_dims(a, b)
+    if a.center.shape != b.center.shape:
+        raise ValueError(f"dimension mismatch: {a.center.shape} vs {b.center.shape}")
     return separation(a.center, a.offset, b.center[None, :], b.offset[None, :])
 
 

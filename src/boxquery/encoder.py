@@ -116,14 +116,17 @@ class ParameterStore:
         """One layer's weights for ``direction``, indexed by relation id."""
         return self._relation_weights[layer, direction]
 
+    def _entity_rows(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        table = self.entity_embeddings.data[rows]  # views of raw centers and offsets
+        return table[..., : self.dim], table[..., self.dim :]
+
     def entity_boxes(self) -> tuple[np.ndarray, np.ndarray]:
         """(centers, clamped offsets) of all entity boxes, as fresh arrays."""
-        table = self.entity_embeddings.data
-        return table[:, : self.dim].copy(), np.maximum(table[:, self.dim :], 0.0)
+        centers, offsets = self._entity_rows(slice(None))
+        return centers.copy(), np.maximum(offsets, 0.0)
 
     def entity_box(self, entity: int) -> Box:
-        row = self.entity_embeddings.data[entity]
-        return materialize(row[: self.dim], row[self.dim :])
+        return materialize(*self._entity_rows(entity))
 
     def zero_grads(self) -> None:
         """Zero the gradient rows that each tensor marks (see :class:`Tensor2`)."""

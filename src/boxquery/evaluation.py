@@ -22,7 +22,8 @@ import numpy as np
 from .boxes import DEFAULT_ALPHA, distances, overlap_buffer, overlaps, separation
 from .autodiff import no_grad
 from .encoder import ParameterStore, encode, encode_many
-from .queries import TEMPLATE_NAMES, QueryInstance
+from .graphs import check_ids
+from .queries import TEMPLATE_NAMES, QueryInstance, check_instance_ids, check_query_ids
 from .sampling import non_answers
 
 MODES = ("classification", "ranking", "both")
@@ -69,13 +70,9 @@ class ConfusionMatrix:
         return 2.0 * p * r / (p + r) if p + r else 0.0
 
 
-def _entity_ids(entities, universe: int) -> np.ndarray:
-    """A collection of entity ids as an index array, all in ``range(universe)``."""
-    ids = np.fromiter(entities, dtype=np.intp, count=len(entities))
-    outside = ids[(ids < 0) | (ids >= universe)]
-    if outside.size:
-        raise ValueError(f"entity id {outside[0]} outside universe of size {universe}")
-    return ids
+def _index(entities) -> np.ndarray:
+    """A collection of entity ids, already checked, as an index array."""
+    return np.fromiter(entities, dtype=np.intp, count=len(entities))
 
 
 def _count(predicted: np.ndarray, truth: np.ndarray) -> ConfusionMatrix:
@@ -91,15 +88,19 @@ def confusion(
 ) -> ConfusionMatrix:
     """Score a predicted entity set against the true answer set.
 
-    Ids outside ``range(universe)`` on either side raise ``ValueError``.
+    Ids outside ``range(universe)`` on either side raise ``UnknownIdError``, a ``ValueError``.
     """
+    predicted, truth = set(predicted), set(truth)
+    check_ids("entity", predicted | truth, universe)
     mask = np.zeros(universe, dtype=bool)
-    mask[_entity_ids(set(predicted), universe)] = True
-    return _count(mask, _entity_ids(set(truth), universe))
+    mask[_index(predicted)] = True
+    return _count(mask, _index(truth))
 
 
 def classify(ps: ParameterStore, q, method: str | None = None) -> frozenset[int]:
-    """All entities whose box overlaps the encoded query box."""
+    """All entities whose box overlaps the encoded query box; an anchor or
+    relation unknown to ``ps`` raises ``UnknownIdError``."""
+    check_query_ids(q, ps.num_entities, ps.num_relations)
     with no_grad():
         box = encode(q, ps, method).box
     centers, offsets = ps.entity_boxes()  # fresh, so they can take delta and span
@@ -222,17 +223,18 @@ def evaluate(
     target set, which the sampler computed on the full graph.  The queries
     of each template are encoded together, without a tape, and each query
     takes at most one pass over the entity table, shared by classification
-    and full ranking.
+    and full ranking.  An id unknown to ``ps`` raises ``UnknownIdError``
+    (a ``ValueError``) before any query is scored.
     """
     if mode not in MODES:
         raise ValueError(f"unknown evaluation mode: {mode!r}")
     if not instances:
         raise ValueError("cannot evaluate an empty split")
+    check_instance_ids(instances, ps.num_entities, ps.num_relations)
     method = method or ps.aggregation
     want_cls = mode in ("classification", "both")
     want_rank = mode in ("ranking", "both")
     centers, offsets = ps.entity_boxes()
-    universe = ps.num_entities
     per_template = {name: TemplateMetrics() for name in TEMPLATE_NAMES}
     if want_cls:
         for name in TEMPLATE_NAMES:
@@ -261,7 +263,7 @@ def evaluate(
     for inst, q_center, q_offset in zip(instances, q_centers, q_offsets):
         metrics = per_template[inst.query.template]
         metrics.queries += 1
-        truth = _entity_ids(inst.targets, universe)
+        truth = _index(inst.targets)
         if scan:
             separation(q_center, q_offset, centers, offsets, delta, span)
         if want_cls:
@@ -271,7 +273,7 @@ def evaluate(
         if want_rank:
             if rank_all:
                 every = distances(delta, span, alpha, work)
-                neg = every[non_answers(universe, truth)]
+                neg = every[non_answers(ps.num_entities, truth)]
                 pos = every[truth]
             else:
                 rows = np.concatenate(

@@ -30,6 +30,21 @@ class GraphParseError(ValueError):
         self.line_number = line_number
 
 
+class UnknownIdError(KeyError, ValueError):
+    """An entity or relation id outside its universe, for callers of either kind."""
+
+    __str__ = ValueError.__str__  # the message, without KeyError's quotes
+
+
+def check_ids(kind: str, ids: Iterable[int], count: int) -> None:
+    """Raise :class:`UnknownIdError` naming ``kind`` and the ids outside ``range(count)``."""
+    for i in ids:  # a plain loop, the cheapest pass, since execute runs it per call
+        if not 0 <= i < count:
+            # a second pass over ids reads the rest of an iterator, or all of a collection
+            bad = sorted({int(i)} | {int(j) for j in ids if not 0 <= j < count})
+            raise UnknownIdError(f"{kind} ids outside universe of size {count}: {bad}")
+
+
 @dataclass(frozen=True)
 class KnowledgeGraph:
     """Immutable triple store with out/in adjacency indices.
@@ -273,12 +288,10 @@ def neighbors(kg: KnowledgeGraph, entity: int, relation: int, direction: str = "
     """Entities reachable from ``entity`` over ``relation`` in one hop.
 
     ``out`` returns all t with r(entity, t); ``in`` returns all h with
-    r(h, entity).
+    r(h, entity).  An unknown id raises :class:`UnknownIdError`.
     """
-    if not 0 <= entity < kg.num_entities:
-        raise KeyError(f"unknown entity id: {entity}")
-    if not 0 <= relation < kg.num_relations:
-        raise KeyError(f"unknown relation id: {relation}")
+    check_ids("entity", (entity,), kg.num_entities)
+    check_ids("relation", (relation,), kg.num_relations)
     if direction == "out":
         return set(kg.out_index.get((entity, relation), ()))
     if direction == "in":

@@ -17,9 +17,9 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .graphs import KnowledgeGraph
+from .graphs import KnowledgeGraph, check_ids
 
 
 class ArityError(ValueError):
@@ -203,13 +203,10 @@ def instantiate(
     )
 
 
-def _check_ids(kg: KnowledgeGraph, q: QueryGraph) -> None:
-    for a in q.anchors:
-        if not 0 <= a < kg.num_entities:
-            raise KeyError(f"unknown entity id: {a}")
-    for r in q.relations:
-        if not 0 <= r < kg.num_relations:
-            raise KeyError(f"unknown relation id: {r}")
+def check_query_ids(q: QueryGraph, num_entities: int, num_relations: int) -> None:
+    """Raise :class:`~boxquery.graphs.UnknownIdError` for an unknown anchor or relation."""
+    check_ids("entity", q.anchors, num_entities)
+    check_ids("relation", q.relations, num_relations)
 
 
 def _propagate(kg: KnowledgeGraph, q: QueryGraph, relaxed: bool) -> frozenset[int]:
@@ -240,9 +237,9 @@ def execute(kg: KnowledgeGraph, q: QueryGraph) -> frozenset[int]:
 
     Variables may bind to any entity, including anchors or each other
     (plain conjunctive semantics).  Unknown entity or relation ids raise
-    ``KeyError``.
+    :class:`~boxquery.graphs.UnknownIdError`, which is a ``KeyError``.
     """
-    _check_ids(kg, q)
+    check_query_ids(q, kg.num_entities, kg.num_relations)
     return _propagate(kg, q, relaxed=False)
 
 
@@ -253,7 +250,7 @@ def execute_by_enumeration(kg: KnowledgeGraph, q: QueryGraph) -> frozenset[int]:
     deliberately independent of :func:`execute` so the two can be checked
     against each other.
     """
-    _check_ids(kg, q)
+    check_query_ids(q, kg.num_entities, kg.num_relations)
     tpl = q.shape
     edges = q.edge_list()
     bound = q.node_bindings()
@@ -277,7 +274,7 @@ def execute_relaxed(kg: KnowledgeGraph, q: QueryGraph) -> frozenset[int]:
     enough.  Defined only for templates that contain an intersection; the
     difference ``execute_relaxed - execute`` is the hard-negative pool.
     """
-    _check_ids(kg, q)
+    check_query_ids(q, kg.num_entities, kg.num_relations)
     if not q.shape.has_intersection:
         raise UnsupportedTemplateError(
             f"{q.template} has no intersection node to relax"
@@ -311,6 +308,14 @@ class QueryInstance:
             raise ValueError("hard negatives overlap the target set")
         if self.split not in ("train", "val", "test"):
             raise ValueError(f"unknown split: {self.split!r}")
+
+
+def check_instance_ids(instances: Sequence[QueryInstance], num_entities: int,
+                       num_relations: int) -> None:
+    """:func:`check_query_ids` for many instances, their targets and negatives included."""
+    parts = [(i.query.anchors, i.targets, i.negatives, i.hard_negatives) for i in instances]
+    check_ids("entity", (e for part in parts for ids in part for e in ids), num_entities)
+    check_ids("relation", (r for i in instances for r in i.query.relations), num_relations)
 
 
 # --- serialization ----------------------------------------------------------

@@ -28,7 +28,7 @@ from .boxes import DEFAULT_ALPHA, box_distance_t, split_raw_box
 from .encoder import ConfigurationError, ParameterStore, encode, init_parameters, shape_problems
 from .evaluation import evaluate
 from .graphs import KnowledgeGraph
-from .queries import TEMPLATE_NAMES, QueryInstance
+from .queries import TEMPLATE_NAMES, QueryInstance, check_instance_ids
 
 log = logging.getLogger(__name__)
 
@@ -137,18 +137,6 @@ class TrainResult:
     best_metric: float | None
 
 
-def _check_dataset_ids(kg: KnowledgeGraph, instances: Sequence[QueryInstance]) -> None:
-    for inst in instances:
-        ids = set(inst.query.anchors) | inst.targets
-        ids |= set(inst.negatives) | set(inst.hard_negatives)
-        bad = [e for e in ids if not 0 <= e < kg.num_entities]
-        if bad:
-            raise ValueError(f"instance references unknown entity ids: {sorted(bad)}")
-        bad_r = [r for r in inst.query.relations if not 0 <= r < kg.num_relations]
-        if bad_r:
-            raise ValueError(f"instance references unknown relation ids: {sorted(bad_r)}")
-
-
 def _val_metric(
     ps: ParameterStore,
     val: Sequence[QueryInstance],
@@ -190,8 +178,7 @@ def train(
     val_set = list(datasets.get("val", []))
     if not train_set:
         raise ValueError("training requires a non-empty train split")
-    _check_dataset_ids(kg, train_set)
-    _check_dataset_ids(kg, val_set)
+    check_instance_ids(train_set + val_set, kg.num_entities, kg.num_relations)
 
     start_step = 0
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _SHUFFLE_STREAM]))
@@ -313,8 +300,11 @@ _HEADER_KEYS = {
     "adam": ("an object", lambda value: type(value) is dict),
     "step": _INTEGER,
 }
+# a file with Adam constants other than autodiff's was not trained by this code
 _ADAM_KEYS = {
-    **dict.fromkeys(("lr", "beta1", "beta2", "eps"), ("a number", lambda v: type(v) in (int, float))),
+    "lr": ("a number", lambda v: type(v) in (int, float)),
+    **{key: (repr(value), lambda v, value=value: type(v) is float and v == value)
+       for key, value in (("beta1", ad.BETA1), ("beta2", ad.BETA2), ("eps", ad.EPS))},
     "t": _INTEGER,
 }
 
@@ -348,9 +338,9 @@ def save_checkpoint(
         "tensors": [[name, *ps[name].shape] for name in names],
         "adam": {
             "lr": adam.lr,
-            "beta1": adam.beta1,
-            "beta2": adam.beta2,
-            "eps": adam.eps,
+            "beta1": ad.BETA1,
+            "beta2": ad.BETA2,
+            "eps": ad.EPS,
             "t": adam.t,
         },
         "step": step,
@@ -449,13 +439,10 @@ def load_checkpoint(
     except ConfigurationError as exc:  # a header that contradicts itself or its tensors
         raise CheckpointError(f"checkpoint {path}: {exc}") from exc
     meta = header["adam"]
-    adam = AdamState(
-        ps.parameters(),
-        lr=meta["lr"],
-        beta1=meta["beta1"],
-        beta2=meta["beta2"],
-        eps=meta["eps"],
-    )
+    try:
+        adam = AdamState(ps.parameters(), lr=meta["lr"])
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint header in {path}: 'adam.lr': {exc}") from exc
     adam.t = meta["t"]
     adam.m_flat[:] = body[size : 2 * size]
     adam.v_flat[:] = body[2 * size :]

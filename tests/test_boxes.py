@@ -47,6 +47,39 @@ class TestPredicates:
         assert contains(b, [1.0, 1.0])  # closed boundary
         assert not contains(b, [1.5, 0.0])
 
+    def test_contains_is_overlap_with_a_point_box_on_boundaries(self, rng):
+        # the boundary point 0.1 + 0.2 is one ulp past 0.1 + 0.2 as the
+        # kernel measures it, |v - c| = 0.20000000000000004 > 0.2
+        cases = [(np.array([0.1]), np.array([0.2]), np.array([0.1 + 0.2]))]
+        for _ in range(500):
+            center, offset = rng.normal(size=4), rng.uniform(0.0, 2.0, size=4)
+            sign = rng.choice([-1.0, 1.0], size=4)
+            cases.append((center, offset, center + sign * offset))
+        for center, offset, v in cases:
+            b = Box(center, offset)
+            assert contains(b, v) == intersects(b, Box(v, np.zeros_like(v)))
+        assert not contains(box([0.0], [1.0]), [np.nan])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            contains(box([0.0], [1.0]), [0.0, 0.0])
+
+    def test_contains_box_is_the_kernel_with_inner_offsets_negated(self, rng):
+        for _ in range(500):
+            outer = random_box(rng, 4)
+            # boundary-touching nested boxes: each inner side at an outer side
+            # on some coordinates, by the same corner arithmetic
+            inner_offset = outer.offset * rng.uniform(0.0, 1.0, size=4)
+            sign = rng.choice([-1.0, 0.0, 1.0], size=4)
+            inner = Box(outer.center + sign * (outer.offset - inner_offset), inner_offset)
+            kernel = np.all(
+                np.abs(inner.center - outer.center) <= outer.offset - inner.offset
+            )
+            assert contains_box(outer, inner) == kernel
+            if contains_box(outer, inner):
+                assert intersects(outer, inner)
+        assert contains_box(box([0.0], [1.0]), box([1.0], [0.0]))
+        assert not contains_box(box([0.0], [1.0]), box([0.5], [0.6]))
+        assert not contains_box(box([0.0], [1.0]), box([np.nan], [0.0]))
+
     def test_intersects_identical(self):
         b = box([0.3, -2.0], [1.0, 0.1])
         assert intersects(b, b)

@@ -160,6 +160,53 @@ def hub_eval_data():
     return hub, instances, manifest
 
 
+def _with_ids(inst, slot, bad):
+    """``inst`` with one id of ``slot`` replaced by ``bad``."""
+    q = inst.query
+    if slot == "anchor":
+        q = instantiate(q.template, (bad,) + q.anchors[1:], q.relations)
+    elif slot == "relation":
+        q = instantiate(q.template, q.anchors, (bad,) + q.relations[1:])
+    return QueryInstance(
+        q,
+        frozenset({bad}) if slot == "target" else inst.targets,
+        (bad,) if slot == "negative" else inst.negatives,
+        (bad,) if slot == "hard negative" else inst.hard_negatives,
+        inst.split,
+    )
+
+
+class TestUnknownIds:
+    """Every id ``evaluate`` and ``classify`` read is checked against the store."""
+
+    @pytest.mark.parametrize("mode", ["classification", "ranking", "both"])
+    @pytest.mark.parametrize(
+        "slot", ["anchor", "target", "negative", "hard negative", "relation"]
+    )
+    def test_evaluate_rejects_each_kind(self, hub_eval_data, mode, slot):
+        hub, instances, _ = hub_eval_data
+        ps = init_parameters(hub, dim=4, layers=2, seed=0)
+        kind, count = (
+            ("relation", hub.num_relations) if slot == "relation" else ("entity", hub.num_entities)
+        )
+        for bad in (-1, count):
+            rogue = _with_ids(instances[0], slot, bad)
+            message = rf"{kind} ids outside universe of size {count}: \[{bad}\]"
+            with pytest.raises(ValueError, match=message):
+                evaluate(ps, instances[:3] + [rogue], mode=mode, full_ranking=True)
+
+    @pytest.mark.parametrize("slot", ["anchor", "relation"])
+    def test_classify_rejects_anchor_and_relation(self, hub_eval_data, slot):
+        hub, instances, _ = hub_eval_data
+        ps = init_parameters(hub, dim=4, layers=2, seed=0)
+        kind, count = (
+            ("relation", hub.num_relations) if slot == "relation" else ("entity", hub.num_entities)
+        )
+        for bad in (-1, count):
+            with pytest.raises(ValueError, match=rf"{kind} ids outside universe"):
+                classify(ps, _with_ids(instances[0], slot, bad).query)
+
+
 class TestEvaluate:
     def test_report_always_has_all_seven_template_rows(self, hub_eval_data):
         hub, instances, _ = hub_eval_data

@@ -6,7 +6,9 @@ import pytest
 from boxquery.graphs import (
     GraphParseError,
     KnowledgeGraph,
+    UnknownIdError,
     build_graph,
+    check_ids,
     graph_stats,
     load_graph,
     neighbors,
@@ -112,6 +114,15 @@ def test_neighbors_on_toy_graph(kg_t):
         kg_t.entity_id("Bob"),
     }
     assert neighbors(kg_t, p1, works_on, "out") == set()
+
+
+def test_check_ids_names_the_kind_and_the_sorted_bad_ids():
+    check_ids("entity", [0, 2], 3)
+    for ids in ([5, -1, 0, 5], iter([0, 5, -1, 5])):  # a collection and a one-pass iterator
+        with pytest.raises(UnknownIdError) as caught:
+            check_ids("relation", ids, 3)
+        assert isinstance(caught.value, KeyError) and isinstance(caught.value, ValueError)
+        assert str(caught.value) == "relation ids outside universe of size 3: [-1, 5]"
 
 
 def test_neighbors_unknown_id(kg_t):

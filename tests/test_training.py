@@ -398,6 +398,18 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match=f"{key!r} must be"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("beta1", 0.8), ("beta2", 0.99), ("eps", 1e-7),
+         ("lr", -0.1), ("lr", float("nan")), ("lr", float("inf"))],
+    )
+    def test_adam_setting_this_code_cannot_train_with_names_the_key(
+        self, kg, tmp_path, key, value
+    ):
+        path = self._edited(kg, tmp_path / "adam.ckpt", lambda h: h["adam"].update({key: value}))
+        with pytest.raises(CheckpointError, match=f"'adam.{key}'"):
+            load_checkpoint(path)
+
     def test_missing_relation_tensor_is_named(self, kg, tmp_path):
         def rename(header):
             index = [name for name, _, _ in header["tensors"]].index("msg1_rel0_fwd")
