@@ -55,9 +55,10 @@ class TrainConfig:
         broken = [
             f"{key}: {rule}"
             for key, bad, rule in (
-                ("gamma", self.gamma <= 0, "must be positive"),
-                ("alpha", self.alpha < 0, "must be >= 0"),
-                ("lr", self.lr <= 0, "must be positive"),
+                # written so that NaN breaks each rule
+                ("gamma", not 0 < self.gamma < math.inf, "must be positive and finite"),
+                ("alpha", not 0 <= self.alpha < math.inf, "must be >= 0 and finite"),
+                ("lr", not 0 < self.lr < math.inf, "must be positive and finite"),
                 ("max_steps", self.max_steps < 1, "must be >= 1"),
                 ("eval_every", self.eval_every < 1, "must be >= 1"),
                 ("patience", self.patience < 1, "must be >= 1"),
@@ -152,6 +153,17 @@ def _val_metric(
     return report.overall["pairwise"], per_template
 
 
+@dataclass
+class Progress:
+    """Early-stopping state that a checkpoint saves beside the optimizer; ``params``
+    is the last step's packed parameters when the store holds ``best_step``'s."""
+
+    best_step: int | None = None
+    best_metric: float | None = None
+    bad_evals: int = 0
+    params: np.ndarray | None = None
+
+
 def train(
     kg: KnowledgeGraph,
     datasets: Mapping[str, Sequence[QueryInstance]],
@@ -166,13 +178,15 @@ def train(
     is scored by pairwise ranking accuracy; after ``patience``
     evaluations without strict improvement the loop stops early.  With no
     validation data (or no negatives in it) training simply runs to
-    ``max_steps``.  ``checkpoint_path`` saves the returned parameters;
-    ``resume_from`` restores parameters, optimizer, step counter, and
-    shuffle state from an earlier save; a checkpoint whose header differs
-    from :func:`checkpoint_fields` of ``kg`` and ``cfg``, or whose Adam
-    ``lr`` differs from ``cfg``, raises :class:`CheckpointError` naming
-    the field.  A NaN or infinite loss raises
-    :class:`NonFiniteLossError` before that step updates anything.
+    ``max_steps``.  ``checkpoint_path`` saves the whole state of the run:
+    the returned parameters, the last step's parameters and Adam state,
+    the step counter and the early-stopping record.  ``resume_from``
+    restores it, so that a run resumed from any step ends bit for bit as
+    one that was never interrupted; an early-stopped run stays stopped.
+    A checkpoint whose header differs from :func:`checkpoint_fields` of
+    ``kg`` and ``cfg``, or whose ``lr`` differs from ``cfg``'s, raises
+    :class:`CheckpointError` naming the field.  A NaN or infinite loss
+    raises :class:`NonFiniteLossError` before that step updates anything.
     """
     train_set = list(datasets.get("train", []))
     val_set = list(datasets.get("val", []))
@@ -180,37 +194,34 @@ def train(
         raise ValueError("training requires a non-empty train split")
     check_instance_ids(train_set + val_set, kg.num_entities, kg.num_relations)
 
-    start_step = 0
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _SHUFFLE_STREAM]))
+    best: np.ndarray | None = None  # the packed parameters from progress.best_step
     if resume_from is not None:
-        ps, adam, start_step, rng_state = load_checkpoint(
-            resume_from, **checkpoint_fields(kg, cfg)
+        ps, adam, step, progress = load_checkpoint(
+            resume_from, **checkpoint_fields(kg, cfg), lr=cfg.lr
         )
-        if adam.lr != cfg.lr:
-            raise CheckpointError(
-                f"checkpoint {resume_from} has lr {adam.lr!r}, expected {cfg.lr!r}"
-            )
-        if rng_state is not None:
-            rng.bit_generator.state = rng_state
+        if progress.params is not None:
+            best = adam.data.copy()
+            adam.data[:] = progress.params
     else:
         ps = init_parameters(
             kg, dim=cfg.dim, layers=cfg.layers, seed=cfg.seed, aggregation=cfg.aggregation
         )
         adam = AdamState(ps.parameters(), lr=cfg.lr)
+        step, progress = 0, Progress()
 
+    # epoch e walks the (e+1)-th permutation of this stream, so a resumed
+    # run replays the permutations drawn before its step
+    n = len(train_set)
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _SHUFFLE_STREAM]))
+    for _ in range(-(-step // n)):
+        order = rng.permutation(n)
     history: list[LogRow] = []
-    best_snapshot: np.ndarray | None = None
-    best_metric: float | None = None
-    best_step: int | None = None
-    bad_evals = 0
-    step = start_step
-    order: list[int] = []
-    stop = False
+    stop = progress.bad_evals >= cfg.patience
 
     while step < cfg.max_steps and not stop:
-        if not order:
-            order = list(rng.permutation(len(train_set)))
-        inst = train_set[order.pop(0)]
+        if step % n == 0:
+            order = rng.permutation(n)
+        inst = train_set[order[step % n]]
         step += 1
         total = instance_loss(ps, inst, cfg.aggregation, cfg.gamma, cfg.alpha)
         train_loss = total.item()
@@ -230,32 +241,28 @@ def train(
             row.val_pairwise = metric
             row.val_by_template = per_template
             if metric is not None:
-                if best_metric is None or metric > best_metric:
-                    best_metric = metric
-                    best_step = step
-                    best_snapshot = adam.data.copy()
-                    bad_evals = 0
+                if progress.best_metric is None or metric > progress.best_metric:
+                    progress.best_metric = metric
+                    progress.best_step = step
+                    progress.bad_evals = 0
+                    best = adam.data.copy()
                 else:
-                    bad_evals += 1
-                    if bad_evals >= cfg.patience:
-                        log.info(
-                            "early stop at step %d (best %.2f at step %d)",
-                            step,
-                            best_metric,
-                            best_step,
-                        )
+                    progress.bad_evals += 1
+                    if progress.bad_evals >= cfg.patience:
+                        log.info("early stop at step %d (best %.2f at step %d)",
+                                 step, progress.best_metric, progress.best_step)
                         stop = True
         history.append(row)
 
-    if best_snapshot is not None:
-        adam.data[:] = best_snapshot
+    if best is not None:
+        progress.params = adam.data.copy()
+        adam.data[:] = best
 
     if checkpoint_path is not None:
-        save_checkpoint(ps, adam, checkpoint_path, step=step, rng=rng)
+        save_checkpoint(ps, adam, checkpoint_path, step=step, progress=progress)
 
-    return TrainResult(
-        ps=ps, history=history, steps=step, best_step=best_step, best_metric=best_metric
-    )
+    return TrainResult(ps=ps, history=history, steps=step,
+                       best_step=progress.best_step, best_metric=progress.best_metric)
 
 
 def write_training_log(history: Sequence[LogRow], path: str | Path) -> Path:
@@ -280,32 +287,33 @@ def write_training_log(history: Sequence[LogRow], path: str | Path) -> Path:
 # --- checkpoints ------------------------------------------------------------
 #
 # Layout: magic, version, header length, JSON header, then raw float64
-# buffers in header order (parameter tensors, Adam first moments, Adam
-# second moments).  Everything needed to rebuild the store is in the
-# header, so loading does not need the graph.  The header lists tensors in
-# store order, so each of the three sections is one packed buffer.
+# buffers: the last step's packed parameters, Adam's first and second
+# moments, and, when ``best_step`` is not null, the packed parameters from
+# that step.  Everything needed to rebuild the store is in the header, so
+# loading does not need the graph.  The header lists tensors in store
+# order, so each section is one packed buffer.
 
 _MAGIC = b"BOXQCKPT"
-_VERSION = 1
-# what load_checkpoint reads from the header, and from its "adam" entry, as
-# (JSON type, test); ``type(v) is int`` turns away booleans, which are ints
+_VERSION = 2
+# the ParameterStore fields, saved and restored under their own names
+_SHAPE_KEYS = ("dim", "layers", "aggregation", "num_entities", "num_relations", "num_types")
+# what load_checkpoint reads from the header, as (JSON type, test);
+# ``type(v) is int`` turns away booleans, which are ints
 _INTEGER = ("an integer", lambda value: type(value) is int)
 _HEADER_KEYS = {
-    **dict.fromkeys(("dim", "layers", "num_entities", "num_relations", "num_types"), _INTEGER),
+    **dict.fromkeys(_SHAPE_KEYS, _INTEGER),
     "aggregation": ("a string", lambda value: type(value) is str),
     "tensors": ("a list of [name, rows, cols]", lambda value: type(value) is list and all(
         type(e) is list and len(e) == 3 and type(e[0]) is str
         and type(e[1]) is type(e[2]) is int and min(e[1:]) >= 0 for e in value
     )),
-    "adam": ("an object", lambda value: type(value) is dict),
+    "lr": ("a number", lambda value: type(value) in (int, float)),
+    "adam_t": _INTEGER,
     "step": _INTEGER,
-}
-# a file with Adam constants other than autodiff's was not trained by this code
-_ADAM_KEYS = {
-    "lr": ("a number", lambda v: type(v) in (int, float)),
-    **{key: (repr(value), lambda v, value=value: type(v) is float and v == value)
-       for key, value in (("beta1", ad.BETA1), ("beta2", ad.BETA2), ("eps", ad.EPS))},
-    "t": _INTEGER,
+    "best_step": ("an integer or null", lambda value: value is None or type(value) is int),
+    "best_metric": ("a number or null",
+                    lambda value: value is None or type(value) in (int, float)),
+    "bad_evals": _INTEGER,
 }
 
 
@@ -318,42 +326,38 @@ def save_checkpoint(
     adam: AdamState,
     path: str | Path,
     step: int = 0,
-    rng: np.random.Generator | None = None,
+    progress: Progress | None = None,
 ) -> Path:
-    """Write ``ps`` and ``adam``, the state built over its tensors (else ``ValueError``)."""
+    """Write ``ps`` and ``adam``, the state built over its tensors (else
+    ``ValueError``), with the run's ``step`` and ``progress``: the
+    arguments :func:`load_checkpoint` returns."""
     path = Path(path)
     if adam.params != ps.parameters():  # tensors compare by identity
         raise ValueError("optimizer state does not hold the parameter store's tensors")
     adam.check_views()
-    names = ps.names()
+    progress = progress or Progress()
     header = {
-        "version": _VERSION,
-        "dim": ps.dim,
-        "layers": ps.layers,
-        "aggregation": ps.aggregation,
-        "num_entities": ps.num_entities,
-        "num_relations": ps.num_relations,
-        "num_types": ps.num_types,
-        "variable_node_features": "entity-type embedding rows with an untyped fallback row",
-        "tensors": [[name, *ps[name].shape] for name in names],
-        "adam": {
-            "lr": adam.lr,
-            "beta1": ad.BETA1,
-            "beta2": ad.BETA2,
-            "eps": ad.EPS,
-            "t": adam.t,
-        },
+        **{key: getattr(ps, key) for key in _SHAPE_KEYS},
+        "tensors": [[name, *ps[name].shape] for name in ps.names()],
+        "lr": adam.lr,
+        "adam_t": adam.t,
         "step": step,
-        "rng_state": None if rng is None else rng.bit_generator.state,
+        "best_step": progress.best_step,
+        "best_metric": progress.best_metric,
+        "bad_evals": progress.bad_evals,
     }
+    sections = [adam.data, adam.m_flat, adam.v_flat]
+    if progress.best_step is not None:  # the store holds the best snapshot
+        sections = [progress.params, adam.m_flat, adam.v_flat, adam.data]
+    views = [memoryview(section) for section in sections]  # tobytes() without a copy
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with path.open("wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", _VERSION))
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        for buf in (adam.data, adam.m_flat, adam.v_flat):
-            fh.write(memoryview(buf))  # the bytes of tobytes(), without a copy
+        for view in views:
+            fh.write(view)
     return path
 
 
@@ -371,12 +375,15 @@ def checkpoint_fields(kg: KnowledgeGraph, cfg: TrainConfig) -> dict:
 
 def load_checkpoint(
     path: str | Path, **expected
-) -> tuple[ParameterStore, AdamState, int, dict | None]:
-    """Restore (store, optimizer, step, rng state) from a checkpoint file.
+) -> tuple[ParameterStore, AdamState, int, Progress]:
+    """Restore (store, optimizer, step, progress) from a checkpoint file.
 
-    Each keyword names a header field (``dim``, ``layers``,
-    ``aggregation``, ``num_entities``, ... see :func:`checkpoint_fields`)
-    that must equal what was saved; the first that differs raises
+    The store holds the parameters from ``progress.best_step`` when the
+    run had one, which is what :func:`train` returned, and else the last
+    step's; ``progress.params`` then holds the last step's.  Each keyword
+    names a header field (``dim``, ``layers``, ``aggregation``,
+    ``num_entities``, ``lr``, ... see :func:`checkpoint_fields`) that
+    must equal what was saved; the first that differs raises
     :class:`CheckpointError` naming it, rather than producing a silently
     incompatible model.
     """
@@ -397,14 +404,13 @@ def load_checkpoint(
         raise CheckpointError(f"corrupt checkpoint header in {path}") from exc
     if not isinstance(header, dict):
         raise CheckpointError(f"corrupt checkpoint header in {path}")
-    for prefix, keys in (("", _HEADER_KEYS), ("adam.", _ADAM_KEYS)):
-        section = header["adam"] if prefix else header  # an object by now
-        for key, (kind, valid) in keys.items():
-            if key not in section:
-                raise CheckpointError(f"checkpoint header in {path} lacks the key {prefix + key!r}")
-            if not valid(section[key]):
-                raise CheckpointError(f"checkpoint header in {path}: {prefix + key!r}"
-                                      f" must be {kind}, got {section[key]!r}")
+    for key, (kind, valid) in _HEADER_KEYS.items():
+        if key not in header:
+            raise CheckpointError(f"checkpoint header in {path} lacks the key {key!r}")
+        if not valid(header[key]):
+            raise CheckpointError(
+                f"checkpoint header in {path}: {key!r} must be {kind}, got {header[key]!r}"
+            )
     cursor += header_len
     for name, value in expected.items():
         if header.get(name) != value:
@@ -412,38 +418,32 @@ def load_checkpoint(
                 f"checkpoint {path} has {name} {header.get(name)!r}, expected {value!r}"
             )
 
-    size = sum(rows * cols for _, rows, cols in header["tensors"])
-    end = cursor + 3 * size * 8
+    sizes = [rows * cols for _, rows, cols in header["tensors"]]
+    size, sections = sum(sizes), 3 if header["best_step"] is None else 4
+    end = cursor + sections * size * 8
     if end > len(raw):
         raise CheckpointError(f"truncated checkpoint: {path}")
     if end != len(raw):
         raise CheckpointError(f"trailing bytes in checkpoint: {path}")
-    body = np.frombuffer(raw, dtype=np.float64, count=3 * size, offset=cursor)
+    body = np.frombuffer(raw, dtype=np.float64, count=sections * size, offset=cursor)
+    last, m, v, *best = np.split(body, sections)
+    stored = best[0] if best else last
     # views of the file body; AdamState copies them into its buffers once
-    tensors: dict[str, Tensor2] = {}
-    start = 0
-    for name, rows, cols in header["tensors"]:
-        stop = start + rows * cols
-        tensors[name] = Tensor2(body[start:stop].reshape(rows, cols), requires_grad=True)
-        start = stop
+    parts = np.split(stored, np.cumsum(sizes)[:-1])
+    tensors = {name: Tensor2(part.reshape(rows, cols), requires_grad=True)
+               for (name, rows, cols), part in zip(header["tensors"], parts)}
     try:
-        ps = ParameterStore(
-            dim=header["dim"],
-            layers=header["layers"],
-            aggregation=header["aggregation"],
-            num_entities=header["num_entities"],
-            num_relations=header["num_relations"],
-            num_types=header["num_types"],
-            tensors=tensors,
-        )
+        ps = ParameterStore(**{key: header[key] for key in _SHAPE_KEYS}, tensors=tensors)
     except ConfigurationError as exc:  # a header that contradicts itself or its tensors
         raise CheckpointError(f"checkpoint {path}: {exc}") from exc
-    meta = header["adam"]
     try:
-        adam = AdamState(ps.parameters(), lr=meta["lr"])
+        adam = AdamState(ps.parameters(), lr=header["lr"])
     except ValueError as exc:
-        raise CheckpointError(f"checkpoint header in {path}: 'adam.lr': {exc}") from exc
-    adam.t = meta["t"]
-    adam.m_flat[:] = body[size : 2 * size]
-    adam.v_flat[:] = body[2 * size :]
-    return ps, adam, header["step"], header.get("rng_state")
+        raise CheckpointError(f"checkpoint header in {path}: 'lr': {exc}") from exc
+    adam.t = header["adam_t"]
+    adam.m_flat[:] = m
+    adam.v_flat[:] = v
+    progress = Progress(
+        header["best_step"], header["best_metric"], header["bad_evals"], last if best else None
+    )
+    return ps, adam, header["step"], progress

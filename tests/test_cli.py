@@ -103,7 +103,7 @@ class TestConfig:
     def test_negative_gamma_violation_message(self):
         cfg = RunConfig(gamma=-1.0)
         problems = validate_config(cfg)
-        assert "gamma: must be positive" in problems
+        assert "gamma: must be positive and finite" in problems
 
     # one bad value for every key that has a rule
     BAD_VALUES = {
@@ -145,8 +145,8 @@ class TestConfig:
         problems = validate_config(RunConfig(max_targets=0, gamma=-1.0, lr=0.0))
         assert problems == [
             "max_targets: must be >= 1",
-            "gamma: must be positive",
-            "lr: must be positive",
+            "gamma: must be positive and finite",
+            "lr: must be positive and finite",
         ]
 
     def test_tm_layer_policy_violation(self):

@@ -18,6 +18,7 @@ from boxquery.training import (
     CheckpointError,
     LogRow,
     NonFiniteLossError,
+    Progress,
     TrainConfig,
     instance_loss,
     load_checkpoint,
@@ -48,6 +49,26 @@ def toy_datasets(kg):
     return by_split
 
 
+@pytest.fixture(scope="module")
+def clustered():
+    """An 80-entity graph with 16 train and 8 val instances.
+
+    Under ``RESUME_CFG`` validation improves at steps 10, 20 and 30 and
+    not after, so the run stops early at step 60.
+    """
+    graph = clustered_graph(np.random.default_rng(1), n_entities=80, n_relations=3)
+    split = split_edges(graph, 0.25, seed=1)
+    cfg = SamplerConfig(quotas={"1-chain": 20, "2-chain": 10}, negatives_per_query=6,
+                        seed=1, val_fraction=0.5)
+    datasets = {"train": [], "val": [], "test": []}
+    for inst in generate_datasets(graph, split, cfg)[0]:
+        datasets[inst.split].append(inst)
+    return graph, datasets
+
+
+RESUME_CFG = TrainConfig(max_steps=100, eval_every=10, patience=3, dim=3, layers=2, seed=0)
+
+
 class TestTrainConfig:
     def test_defaults(self):
         cfg = TrainConfig()
@@ -61,6 +82,12 @@ class TestTrainConfig:
             {"gamma": 0.0},
             {"alpha": -0.5},
             {"lr": 0.0},
+            {"lr": float("nan")},
+            {"lr": float("inf")},
+            {"gamma": float("nan")},
+            {"gamma": float("inf")},
+            {"alpha": float("nan")},
+            {"alpha": float("inf")},
             {"max_steps": 0},
             {"eval_every": 0},
             {"patience": 0},
@@ -77,8 +104,8 @@ class TestTrainConfig:
         with pytest.raises(ValueError) as caught:
             TrainConfig(gamma=-1.0, lr=0.0, dim=0, layers=0)
         assert str(caught.value).split("; ") == [
-            "gamma: must be positive",
-            "lr: must be positive",
+            "gamma: must be positive and finite",
+            "lr: must be positive and finite",
             "dim: must be >= 1",
             "layers: must be >= 1",
         ]
@@ -280,22 +307,34 @@ class TestCheckpoints:
 
     def test_save_load_save_is_byte_identical(self, kg, tmp_path):
         ps, adam = self._store_and_adam(kg)
-        rng = np.random.default_rng(4)
         first = tmp_path / "a.ckpt"
         second = tmp_path / "b.ckpt"
-        save_checkpoint(ps, adam, first, step=17, rng=rng)
-        ps2, adam2, step, rng_state = load_checkpoint(first)
+        save_checkpoint(ps, adam, first, step=17)
+        ps2, adam2, step, progress = load_checkpoint(first)
         assert step == 17
-        rng2 = np.random.default_rng()
-        rng2.bit_generator.state = rng_state
-        save_checkpoint(ps2, adam2, second, step=step, rng=rng2)
+        save_checkpoint(ps2, adam2, second, step=step, progress=progress)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_save_load_save_with_a_best_section_is_byte_identical(
+        self, kg, toy_datasets, tmp_path
+    ):
+        cfg = TrainConfig(max_steps=12, eval_every=5, patience=100, dim=3, layers=2, seed=2)
+        first = tmp_path / "a.ckpt"
+        result = train(kg, toy_datasets, cfg, checkpoint_path=first)
+        ps, adam, step, progress = load_checkpoint(first)
+        assert (step, progress.best_step, progress.bad_evals) == (12, 5, 1)
+        assert progress.best_metric == result.best_metric
+        assert progress.params.tobytes() != adam.data.tobytes()  # last step, best snapshot
+        for name in ps.names():
+            assert ps[name].data.tobytes() == result.ps[name].data.tobytes()
+        second = save_checkpoint(ps, adam, tmp_path / "b.ckpt", step=step, progress=progress)
         assert first.read_bytes() == second.read_bytes()
 
     def test_round_trip_restores_everything(self, kg, tmp_path):
         ps, adam = self._store_and_adam(kg)
         path = save_checkpoint(ps, adam, tmp_path / "c.ckpt", step=3)
-        ps2, adam2, step, rng_state = load_checkpoint(path)
-        assert rng_state is None
+        ps2, adam2, step, progress = load_checkpoint(path)
+        assert progress == Progress()
         assert (ps2.dim, ps2.layers, ps2.aggregation) == (3, 2, "sum")
         for name in ps.names():
             np.testing.assert_array_equal(ps[name].data, ps2[name].data)
@@ -320,13 +359,14 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
-    def test_rejects_wrong_version(self, kg, tmp_path):
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_rejects_wrong_version(self, kg, tmp_path, version):
         ps, adam = self._store_and_adam(kg)
         path = save_checkpoint(ps, adam, tmp_path / "v.ckpt")
         raw = bytearray(path.read_bytes())
-        raw[8] = 99  # version field sits right after the magic
+        raw[8] = version  # version field sits right after the magic
         path.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointError, match="version"):
+        with pytest.raises(CheckpointError, match=f"^unsupported checkpoint version {version}$"):
             load_checkpoint(path)
 
     def test_rejects_dim_mismatch(self, kg, tmp_path):
@@ -352,16 +392,12 @@ class TestCheckpoints:
         path.write_bytes(raw[:12] + len(blob).to_bytes(8, "little") + blob + raw[20 + length :])
         return path
 
-    @pytest.mark.parametrize("key", ["dim", "tensors", "adam", "step", "adam.t"])
+    @pytest.mark.parametrize(
+        "key",
+        ["dim", "tensors", "step", "lr", "adam_t", "best_step", "best_metric", "bad_evals"],
+    )
     def test_header_without_a_key_names_it(self, kg, tmp_path, key):
-        def drop(header):
-            if "." in key:
-                outer, inner = key.split(".")
-                del header[outer][inner]
-            else:
-                del header[key]
-
-        path = self._edited(kg, tmp_path / "lacking.ckpt", drop)
+        path = self._edited(kg, tmp_path / "lacking.ckpt", lambda header: header.pop(key))
         with pytest.raises(CheckpointError, match=repr(key)):
             load_checkpoint(path)
 
@@ -380,34 +416,27 @@ class TestCheckpoints:
             ("tensors", [["entity_embeddings", 7.0, 6]]),
             ("tensors", [[0, 7, 6]]),
             ("tensors", [["entity_embeddings", -7, 6]]),
-            ("adam", []),
-            ("adam.t", True),
-            ("adam.lr", "0.01"),
-            ("adam.eps", None),
+            ("lr", "0.01"),
+            ("lr", None),
+            ("adam_t", True),
+            ("adam_t", 1.0),
+            ("best_step", "5"),
+            ("best_step", 5.0),
+            ("best_metric", "50"),
+            ("best_metric", [50.0]),
+            ("bad_evals", None),
+            ("bad_evals", False),
         ],
     )
     def test_header_value_of_the_wrong_type_names_the_key(self, kg, tmp_path, key, value):
-        def put(header):
-            if "." in key:
-                outer, inner = key.split(".")
-                header[outer][inner] = value
-            else:
-                header[key] = value
-
-        path = self._edited(kg, tmp_path / "typed.ckpt", put)
+        path = self._edited(kg, tmp_path / "typed.ckpt", lambda header: header.update({key: value}))
         with pytest.raises(CheckpointError, match=f"{key!r} must be"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize(
-        "key, value",
-        [("beta1", 0.8), ("beta2", 0.99), ("eps", 1e-7),
-         ("lr", -0.1), ("lr", float("nan")), ("lr", float("inf"))],
-    )
-    def test_adam_setting_this_code_cannot_train_with_names_the_key(
-        self, kg, tmp_path, key, value
-    ):
-        path = self._edited(kg, tmp_path / "adam.ckpt", lambda h: h["adam"].update({key: value}))
-        with pytest.raises(CheckpointError, match=f"'adam.{key}'"):
+    @pytest.mark.parametrize("value", [-0.1, float("nan"), float("inf")])
+    def test_lr_this_code_cannot_train_with_names_the_key(self, kg, tmp_path, value):
+        path = self._edited(kg, tmp_path / "lr.ckpt", lambda header: header.update(lr=value))
+        with pytest.raises(CheckpointError, match="'lr'"):
             load_checkpoint(path)
 
     def test_missing_relation_tensor_is_named(self, kg, tmp_path):
@@ -461,7 +490,7 @@ class TestCheckpoints:
             other_cfg = replace(other_cfg, layers=2)
         else:
             other_cfg = replace(other_cfg, lr=0.02)
-        with pytest.raises(CheckpointError, match=field):
+        with pytest.raises(CheckpointError, match=f"has {field} "):
             train(other_kg, {"train": insts}, other_cfg, resume_from=ckpt)
 
     def test_rejects_truncated_file(self, kg, tmp_path):
@@ -490,6 +519,40 @@ class TestCheckpoints:
             np.testing.assert_allclose(
                 resumed.ps[name].data, straight.ps[name].data, rtol=1e-12
             )
+
+
+class TestResume:
+    """A run resumed from its checkpoint ends as the run never interrupted."""
+
+    # 25 is mid-epoch; 40 and 50 are too, and follow the first and second
+    # evaluation without improvement
+    @pytest.mark.parametrize("k", [25, 40, 50])
+    def test_resume_from_step_k_matches_the_uninterrupted_run(self, clustered, tmp_path, k):
+        graph, datasets = clustered
+        assert len(datasets["train"]) == 16 and len(datasets["val"]) == 8
+        whole = train(graph, datasets, RESUME_CFG, checkpoint_path=tmp_path / "whole.ckpt")
+        assert (whole.steps, whole.best_step) == (60, 30)
+        train(graph, datasets, replace(RESUME_CFG, max_steps=k),
+              checkpoint_path=tmp_path / "first.ckpt")
+        resumed = train(graph, datasets, RESUME_CFG, resume_from=tmp_path / "first.ckpt",
+                        checkpoint_path=tmp_path / "resumed.ckpt")
+        assert [row.step for row in resumed.history] == list(range(k + 1, 61))
+        assert (resumed.best_step, resumed.best_metric) == (whole.best_step, whole.best_metric)
+        # the same returned and last-step parameters, moments and header
+        assert (tmp_path / "resumed.ckpt").read_bytes() == (tmp_path / "whole.ckpt").read_bytes()
+
+    def test_early_stopped_run_stays_stopped(self, clustered, tmp_path):
+        graph, datasets = clustered
+        cfg = replace(RESUME_CFG, patience=1)
+        first = train(graph, datasets, cfg, checkpoint_path=tmp_path / "first.ckpt")
+        assert (first.steps, first.best_step) == (40, 30)
+        resumed = train(graph, datasets, replace(cfg, max_steps=200),
+                        resume_from=tmp_path / "first.ckpt",
+                        checkpoint_path=tmp_path / "resumed.ckpt")
+        assert (resumed.steps, resumed.best_step, resumed.history) == (40, 30, [])
+        assert (tmp_path / "resumed.ckpt").read_bytes() == (tmp_path / "first.ckpt").read_bytes()
+        for name in first.ps.names():
+            assert resumed.ps[name].data.tobytes() == first.ps[name].data.tobytes()
 
 
 class TestPackedTrainingStep:
